@@ -33,18 +33,19 @@
 //! that down). The venue pin runs `run_sharded`: one event loop per
 //! RF-isolation shard on a `--threads`-wide work queue, merged output again
 //! identical for every thread count. The plenary pin with `--max-shards > 1`
-//! also runs `run_sharded` — its three per-channel cells are each one coupled
-//! component, so the split comes from time-window lockstep sharding (bounded
-//! window advance, cross-shard TxStart/TxEnd exchange at window boundaries),
-//! still byte-identical to the serial run. Sharded trajectory entries carry
-//! `threads`/`shards`/`components`/`lockstep`/`host_cpus` so scaling claims
-//! can be read against the hardware that produced them — an entry at
-//! `--threads 8` on a one-CPU host measures scheduling overhead, not speedup.
+//! also runs `run_sharded`: its three per-channel cells are three coupled
+//! components, so it runs as at most three shards, still byte-identical to
+//! the serial run. Sharded trajectory entries carry
+//! `threads`/`shards`/`components`/`host_cpus` so scaling claims can be read
+//! against the hardware that produced them — an entry at `--threads 8` on a
+//! one-CPU host measures scheduling overhead, not speedup.
 //!
-//! `--check <file>` compares events/s against the *last* trajectory entry of
-//! a committed baseline and exits non-zero on a >15 % drop — after verifying
-//! the entry's scenario fingerprint (seed/users/duration/event count), so a
-//! stale file can't silently gate against the wrong workload.
+//! `--check <file>` compares events/s against the last trajectory entry of
+//! a committed baseline that ran with the same shard count (no `shards`
+//! field means unsharded), so a serial run never gates against a sharded
+//! entry or the reverse. It exits non-zero on a >15 % drop — after
+//! verifying the entry's scenario fingerprint (seed/users/duration/event
+//! count), so a stale file can't silently gate against the wrong workload.
 
 use congestion_bench::streaming::{
     run_sharded, run_streaming_mobile, run_streaming_pipelined, MobilityStats, StreamedRun,
@@ -180,18 +181,13 @@ impl Pin {
     /// Runs the pin. The serial pins take the pipelined two-thread path;
     /// venue-5k partitions into RF-isolation shards and runs them on a
     /// `threads`-wide work queue; plenary-523 with `--max-shards > 1` takes
-    /// the sharded path too, where the three coupled per-channel cells split
-    /// further under time-window lockstep. Returns the merged run plus
-    /// `(shards, components, lockstep)` for sharded runs.
+    /// the sharded path too, one shard per coupled per-channel cell. Returns
+    /// the merged run plus `(shards, components)` for sharded runs.
     fn run(
         &self,
         threads: usize,
         max_shards: usize,
-    ) -> (
-        StreamedRun,
-        Option<(usize, usize, bool)>,
-        Option<MobilityStats>,
-    ) {
+    ) -> (StreamedRun, Option<(usize, usize)>, Option<MobilityStats>) {
         match self.name {
             PinName::Churn => {
                 let scale = ChurnScale::venue_default(self.seed);
@@ -209,7 +205,7 @@ impl Pin {
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,
-                    Some((sharded.shards, sharded.components, sharded.lockstep)),
+                    Some((sharded.shards, sharded.components)),
                     None,
                 )
             }
@@ -225,7 +221,7 @@ impl Pin {
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,
-                    Some((sharded.shards, sharded.components, sharded.lockstep)),
+                    Some((sharded.shards, sharded.components)),
                     None,
                 )
             }
@@ -283,11 +279,11 @@ fn main() {
                      trajectory JSON (default\n\
                      BENCH_sim[_quick|_plenary|_venue|_churn].json). --quick =\n\
                      --pin ramp-quick. --max-shards caps the partition; for\n\
-                     plenary-523 a value > 1 takes the sharded path, splitting\n\
-                     the coupled per-channel cells by time-window lockstep\n\
-                     (results byte-identical to the serial run). --check\n\
-                     compares events/s against the last entry of a committed\n\
-                     trajectory and exits 1 on a >15% regression."
+                     plenary-523 a value > 1 takes the sharded path, one shard\n\
+                     per coupled per-channel cell (results byte-identical to\n\
+                     the serial run). --check compares events/s against the\n\
+                     last entry of a committed trajectory with the same shard\n\
+                     count and exits 1 on a >15% regression."
                 );
                 return;
             }
@@ -346,14 +342,12 @@ fn main() {
     // events/s at `threads` only means speedup when `host_cpus` can supply
     // that many workers.
     let sharding_fields = sharding
-        .map(|(shards, components, lockstep)| {
+        .map(|(shards, components)| {
             format!(
-                ", \"threads\": {}, \"shards\": {}, \"components\": {}, \
-                 \"lockstep\": {}, \"host_cpus\": {}",
+                ", \"threads\": {}, \"shards\": {}, \"components\": {}, \"host_cpus\": {}",
                 threads,
                 shards,
                 components,
-                lockstep,
                 std::thread::available_parallelism().map_or(0, usize::from),
             )
         })
@@ -404,9 +398,8 @@ fn main() {
         std::process::exit(1);
     }
     let sharding_note = sharding
-        .map(|(shards, components, lockstep)| {
-            let mode = if lockstep { "lockstep" } else { "component" };
-            format!(" [{shards} shards / {components} components, {mode} @ {threads} threads]")
+        .map(|(shards, components)| {
+            format!(" [{shards} shards / {components} components @ {threads} threads]")
         })
         .unwrap_or_default();
     eprintln!(
@@ -429,15 +422,17 @@ fn main() {
                 ("duration_s", pin.duration_s as f64),
                 ("events", run.events_processed as f64),
             ],
+            sharding.map(|(shards, _)| shards),
             events_per_sec,
         );
     }
 }
 
 /// Gates this run's events/s against the last entry of a committed baseline
-/// trajectory: the fingerprint fields must match exactly (a baseline from a
-/// different pinned workload — or a semantics-changing build — would make
-/// the throughput ratio meaningless), then a >15 % drop fails.
+/// trajectory that ran with the same `shards` ([`gate_entry`]): the
+/// fingerprint fields must match exactly (a baseline from a different pinned
+/// workload — or a semantics-changing build — would make the throughput
+/// ratio meaningless), then a >15 % drop fails.
 ///
 /// The 15 % gate (was 30 % while the trajectories were still moving):
 /// interleaved same-host medians vary well under this band, so a breach
@@ -446,10 +441,12 @@ fn check_regression(
     baseline: &str,
     baseline_path: &str,
     fingerprint: &[(&str, f64)],
+    shards: Option<usize>,
     events_per_sec: f64,
 ) {
-    let entry = last_entry(baseline).unwrap_or_else(|| {
-        eprintln!("error: baseline {baseline_path} has no trajectory entries");
+    let entry = gate_entry(baseline, shards).unwrap_or_else(|| {
+        let mode = shards.map_or("unsharded".to_string(), |k| format!("{k}-shard"));
+        eprintln!("error: baseline {baseline_path} has no {mode} trajectory entry");
         std::process::exit(1);
     });
     for &(field, want) in fingerprint {
@@ -646,6 +643,7 @@ fn run_trace_pin(
                 ("duration_s", pin.duration_s as f64),
                 ("events", events as f64),
             ],
+            None,
             events_per_sec,
         );
     }
@@ -670,11 +668,14 @@ fn append_entry(path: &str, pin_label: &str, entry: &str) -> std::io::Result<()>
     std::fs::write(path, doc)
 }
 
-/// The last trajectory entry line (entries are one `{...}` per line).
-fn last_entry(json: &str) -> Option<&str> {
-    json.lines()
-        .rev()
-        .find(|l| l.trim_start().starts_with('{') && l.contains("\"events\""))
+/// The last trajectory entry line (entries are one `{...}` per line) whose
+/// `shards` field equals `shards`; an entry without the field ran unsharded.
+fn gate_entry(json: &str, shards: Option<usize>) -> Option<&str> {
+    json.lines().rev().find(|l| {
+        l.trim_start().starts_with('{')
+            && l.contains("\"events\"")
+            && json_number(l, "shards").map(|k| k as usize) == shards
+    })
 }
 
 /// Pulls a numeric field out of a flat JSON fragment (no serde in the
@@ -703,4 +704,24 @@ fn peak_rss_kb() -> u64 {
             })
         })
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gate_entry;
+
+    /// A serial run gates against the last unsharded entry, not whatever
+    /// sharded entry happens to close the file, and the reverse.
+    #[test]
+    fn gate_entry_matches_the_shard_count() {
+        let doc = "{\n  \"pin\": \"plenary-523\",\n  \"trajectory\": [\n\
+            {\"label\": \"serial\", \"events\": 1, \"events_per_sec\": 3000000},\n\
+            {\"label\": \"t2-m3\", \"events\": 1, \"events_per_sec\": 5000000, \"shards\": 3},\n\
+            {\"label\": \"t4-m6\", \"events\": 1, \"events_per_sec\": 1000000, \"shards\": 6}\n  ]\n}\n";
+        let label = |shards| gate_entry(doc, shards).map(|l| &l[..l.find(',').unwrap()]);
+        assert_eq!(label(None), Some("{\"label\": \"serial\""));
+        assert_eq!(label(Some(3)), Some("{\"label\": \"t2-m3\""));
+        assert_eq!(label(Some(6)), Some("{\"label\": \"t4-m6\""));
+        assert_eq!(label(Some(39)), None);
+    }
 }

@@ -17,26 +17,21 @@
 //! difference is that analysis of chunk *n* runs while chunk *n + 1*
 //! simulates.
 //!
-//! [`run_sharded`] adds intra-scenario parallelism on top: RF-isolation
-//! component sharding when the scenario splits into independent media, and
-//! **time-window lockstep sharding** ([`wifi_sim::shard`]) when it does not
-//! — one dense coupled cell is cut along BSS lines into full-roster shards
-//! that advance window-by-window, exchanging cross-shard transmissions as
-//! ghosts at each boundary. Both merge to results byte-identical to the
-//! unsharded run.
+//! [`run_sharded`] adds intra-scenario parallelism on top: the scenario is
+//! cut into RF-isolation components ([`wifi_sim::shard`]) that run as
+//! independent sub-simulators and merge to results byte-identical to the
+//! unsharded run. A scenario that does not split runs unsharded.
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
-use wifi_sim::shard::{LockstepPlan, Shard, ShardSpec, DEFAULT_LOCKSTEP_WINDOW_US};
+use wifi_sim::shard::{Shard, ShardSpec};
 use wifi_sim::sniffer::SnifferStats;
 use wifi_sim::spsc;
-use wifi_sim::{RemoteNotice, Simulator};
+use wifi_sim::Simulator;
 
 /// Chunks buffered in the sim→analysis channel before the producer blocks.
 const PIPELINE_DEPTH: usize = 4;
@@ -228,16 +223,15 @@ pub struct ShardedRun {
     /// The merged result — field-for-field comparable with an unsharded
     /// [`run_streaming`] of the same scenario (`queue` excepted: timing-
     /// wheel churn like cascade counts depends on how events distribute
-    /// over wheels — and, under lockstep, on ghost bookkeeping — so it is
-    /// observability, not output).
+    /// over wheels, so it is observability, not output).
     pub run: StreamedRun,
     /// Sub-simulators the scenario ran as (1 when sharding declined).
     pub shards: usize,
-    /// RF-isolation components found (the parallelism ceiling of component
-    /// sharding; lockstep sharding can exceed it).
+    /// RF-isolation components found (the parallelism ceiling).
     pub components: usize,
-    /// Whether time-window lockstep sharding engaged (one coupled
-    /// component, split along BSS lines).
+    /// Always `false`: no lockstep executor exists. Kept only because the
+    /// benchmark reads it (`sim.shard.lockstep`); it goes once the
+    /// benchmark drops its `sim.shard.lockstep*` metrics.
     pub lockstep: bool,
 }
 
@@ -307,11 +301,8 @@ fn run_shard_streaming(
 /// When the scenario cannot be sharded (dynamic channel management, or a
 /// client whose channel has no AP), it falls back to one unsharded shard.
 ///
-/// When the component planner stops short of `max_shards` (dense coupled
-/// cells — the paper's plenary is one per channel) and the lockstep planner
-/// can cut *finer* along BSS lines, time-window lockstep sharding engages
-/// instead, with the default window ([`DEFAULT_LOCKSTEP_WINDOW_US`]); see
-/// [`run_sharded_windowed`].
+/// The paper's plenary is one dense coupled cell per channel, so it runs as
+/// at most three shards, however high the cap:
 ///
 /// ```
 /// use congestion_bench::streaming::{run_sharded, run_streaming};
@@ -319,7 +310,7 @@ fn run_shard_streaming(
 ///
 /// let scale = SessionScale { seed: 3, users: 24, duration_s: 1, activity: 1.0, rts_fraction: 0.0 };
 /// let sharded = run_sharded(ietf_plenary_sharded(scale), 1_000_000, 4, 6);
-/// assert!(sharded.lockstep && sharded.shards > sharded.components);
+/// assert_eq!((sharded.shards, sharded.components), (3, 3));
 ///
 /// // The merged result reproduces the serial run bit for bit.
 /// let serial = run_streaming(ietf_plenary(scale), 1_000_000);
@@ -335,33 +326,6 @@ pub fn run_sharded(
     chunk_us: Micros,
     threads: usize,
     max_shards: usize,
-) -> ShardedRun {
-    run_sharded_windowed(
-        scenario,
-        chunk_us,
-        threads,
-        max_shards,
-        DEFAULT_LOCKSTEP_WINDOW_US,
-    )
-}
-
-/// [`run_sharded`] with an explicit lockstep window width (µs).
-///
-/// The window only matters when lockstep sharding engages: component
-/// sharding exchanges nothing, and the unsharded fallback has no windows at
-/// all. Results are deterministic given `(seed, window_us)` — identical for
-/// every `(threads, max_shards)` at a fixed window — but *different windows
-/// may order same-microsecond cross-shard interactions differently*, so a
-/// lockstep run is compared against serial runs at the same window
-/// (`window_us` is part of the result's identity, like the seed). An unsafe
-/// window (zero, or wider than the influence-latency bound) declines
-/// lockstep and falls back.
-pub fn run_sharded_windowed(
-    scenario: ShardScenario,
-    chunk_us: Micros,
-    threads: usize,
-    max_shards: usize,
-    window_us: Micros,
 ) -> ShardedRun {
     let chunk_us = chunk_us.max(1);
     let ShardScenario {
@@ -385,21 +349,6 @@ pub fn run_sharded_windowed(
             lockstep: false,
         };
     };
-    // The component count is the ceiling of component sharding; when the
-    // caller's cap allows more parallelism than the ceiling (the dense-cell
-    // regime — the plenary is three coupled cells however many cores are
-    // available), lockstep engages if it can actually cut finer. Where
-    // components already fill the cap (the venue campus: one BSS per
-    // component), lockstep cannot do better and stays out of the way.
-    if plan.shards.len() < max_shards {
-        if let Some(lockstep) = spec.partition_lockstep(max_shards, window_us) {
-            if lockstep.shards.len() > plan.shards.len() {
-                let shards = lockstep.shards.len();
-                let outs = run_lockstep(&spec, &lockstep, duration_us, threads);
-                return merge_shard_outs(name, &spec, outs, shards, plan.components, true);
-            }
-        }
-    }
     let outs: Vec<ShardOut> = run_parallel(&plan.shards, threads, |shard: &Shard| {
         // Sub-simulators are built inside the worker (a Simulator is not
         // Send; the spec is).
@@ -412,20 +361,18 @@ pub fn run_sharded_windowed(
         )
     });
     let shards = plan.shards.len();
-    merge_shard_outs(name, &spec, outs, shards, plan.components, false)
+    merge_shard_outs(name, &spec, outs, shards, plan.components)
 }
 
 /// Merges per-shard outputs into one [`ShardedRun`]. Placement and sums
-/// only: every sniffer lives in exactly one shard, medium stats and the
-/// scalar counters are disjoint per shard (under lockstep, ghosts are
-/// excluded from every merged counter), so the merge is exact.
+/// only: every sniffer lives in exactly one shard, and medium stats and the
+/// scalar counters are disjoint per shard, so the merge is exact.
 fn merge_shard_outs(
     name: String,
     spec: &ShardSpec,
     outs: Vec<ShardOut>,
     shards: usize,
     components: usize,
-    lockstep: bool,
 ) -> ShardedRun {
     let channels = spec.config().channels.len();
     let mut per_sniffer_seconds: Vec<Vec<SecondStats>> =
@@ -463,221 +410,8 @@ fn merge_shard_outs(
         },
         shards,
         components,
-        lockstep,
+        lockstep: false,
     }
-}
-
-/// A sense-reversing spin barrier. The lockstep protocol crosses a barrier
-/// twice per window (potentially millions of times per run); parking OS
-/// threads at that frequency would dominate the runtime, and the wait is
-/// bounded by one window of sibling simulation, so spinning is the right
-/// trade.
-struct SpinBarrier {
-    n: usize,
-    count: AtomicUsize,
-    sense: AtomicBool,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> SpinBarrier {
-        SpinBarrier {
-            n,
-            count: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-        }
-    }
-
-    /// Blocks until all `n` participants arrive. `local_sense` is the
-    /// caller's thread-local phase flag, initialized `false`. Spins briefly
-    /// (the common case: siblings are one window behind), then yields —
-    /// pure spinning livelocks when workers outnumber cores.
-    fn wait(&self, local_sense: &mut bool) {
-        *local_sense = !*local_sense;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(*local_sense, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != *local_sense {
-                spins += 1;
-                if spins < 1_000 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// One worker's owned lockstep shard: the sub-simulator plus its streaming
-/// analysis state.
-struct LockstepState {
-    shard_idx: usize,
-    sim: Simulator,
-    sniffer_indices: Vec<usize>,
-    accs: Vec<SecondAccumulator>,
-}
-
-/// Drives a lockstep plan to `duration_us`: every shard advances through
-/// the same bounded windows, with a two-barrier exchange round at each
-/// boundary (see `docs/DETERMINISM.md` for the protocol and its proof).
-///
-/// Round structure, per window `[start, target]`:
-/// 1. each worker runs its shards to `target` and drains sniffer traces
-///    into the per-shard accumulators;
-/// 2. each worker publishes its shards' outgoing [`RemoteNotice`]s, then
-///    **barrier** — all outboxes are complete;
-/// 3. each worker applies every *other* shard's notices to its own shards
-///    as ghosts (in shard-index order) and publishes each shard's
-///    next-event time, then **barrier** — all inboxes are drained;
-/// 4. every worker independently computes the same next window start,
-///    skipping whole windows up to the global minimum next-event time.
-///
-/// The schedule is a pure function of the plan and the window, so the
-/// result is identical for any worker count.
-fn run_lockstep(
-    spec: &ShardSpec,
-    plan: &LockstepPlan,
-    duration_us: Micros,
-    threads: usize,
-) -> Vec<ShardOut> {
-    let k = plan.shards.len();
-    let w = plan.window_us;
-    // Worker count is a pure throughput knob — shard↔worker assignment and
-    // results are schedule-independent — so clamp to the cores actually
-    // available: oversubscribed barrier workers just steal each other's
-    // timeslices.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = threads.min(cores).clamp(1, k);
-    let barrier = SpinBarrier::new(workers);
-    // One outbox and one next-event slot per shard; written by the owner
-    // before a barrier, read by everyone after it.
-    let outboxes: Vec<Mutex<Vec<RemoteNotice>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
-    let next_times: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let mut outs: Vec<(usize, ShardOut)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (barrier, outboxes, next_times) = (&barrier, &outboxes, &next_times);
-            handles.push(scope.spawn(move || {
-                // Static ownership: worker j drives shards j, j+W, ... —
-                // the shard→worker map never affects results, only the
-                // schedule.
-                let mut states: Vec<LockstepState> = (worker..k)
-                    .step_by(workers)
-                    .map(|shard_idx| {
-                        let shard = &plan.shards[shard_idx];
-                        let sniffer_indices: Vec<usize> = shard.sniffer_indices().collect();
-                        let accs = sniffer_indices
-                            .iter()
-                            .map(|_| SecondAccumulator::new())
-                            .collect();
-                        LockstepState {
-                            shard_idx,
-                            sim: spec.build_lockstep_shard(shard),
-                            sniffer_indices,
-                            accs,
-                        }
-                    })
-                    .collect();
-                let mut sense = false;
-                let mut notices: Vec<RemoteNotice> = Vec::new();
-                let mut start: Micros = 0;
-                loop {
-                    // Phase A: simulate the window and stream the analysis.
-                    let target = (start + w - 1).min(duration_us);
-                    for st in &mut states {
-                        st.sim.run_until(target);
-                        for (sniffer, acc) in st.sim.sniffers_mut().iter_mut().zip(&mut st.accs) {
-                            for record in sniffer.trace.drain(..) {
-                                acc.push(record);
-                            }
-                        }
-                    }
-                    if target == duration_us {
-                        // Final window: remaining notices could only seed
-                        // events past the end of the run.
-                        break;
-                    }
-                    // Publish outboxes, then wait for every shard's.
-                    for st in &mut states {
-                        let mut slot = outboxes[st.shard_idx].lock().unwrap();
-                        slot.clear();
-                        st.sim.drain_remote_notices(&mut slot);
-                    }
-                    barrier.wait(&mut sense);
-                    // Apply every sibling's notices as ghosts, in shard
-                    // order, then publish the post-exchange next-event time.
-                    for st in &mut states {
-                        for (src, outbox) in outboxes.iter().enumerate().take(k) {
-                            if src == st.shard_idx {
-                                continue;
-                            }
-                            notices.clear();
-                            notices.extend_from_slice(&outbox.lock().unwrap());
-                            for notice in &notices {
-                                st.sim.apply_remote_tx(notice);
-                            }
-                        }
-                        let next = st.sim.next_event_time().unwrap_or(u64::MAX);
-                        next_times[st.shard_idx].store(next, Ordering::Release);
-                    }
-                    barrier.wait(&mut sense);
-                    // Everyone computes the same next window start: the
-                    // natural successor, or — when every shard is idle
-                    // longer — the window holding the global minimum
-                    // next-event time (never past the final window).
-                    let min_next = next_times
-                        .iter()
-                        .map(|t| t.load(Ordering::Acquire))
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    let mut next = start + w;
-                    if min_next > target {
-                        next = next.max(min_next.min(duration_us) / w * w);
-                    }
-                    start = next.min(duration_us / w * w);
-                }
-                states
-                    .into_iter()
-                    .map(|st| {
-                        let LockstepState {
-                            shard_idx,
-                            sim,
-                            sniffer_indices,
-                            accs,
-                        } = st;
-                        let sniffers = sniffer_indices
-                            .into_iter()
-                            .zip(accs)
-                            .zip(sim.sniffers().iter())
-                            .map(|((gi, acc), s)| (gi, acc.finish(), s.stats))
-                            .collect();
-                        (
-                            shard_idx,
-                            ShardOut {
-                                sniffers,
-                                // Owner-filtered: shells own nothing here —
-                                // ghost air time, collisions and events are
-                                // all excluded on non-owner shards, so
-                                // these sums merge to the unsharded totals.
-                                medium_stats: sim.medium_stats(),
-                                events_processed: sim.events_processed(),
-                                frames_on_air: sim.ground_truth.transmissions,
-                                queue: sim.queue_stats(),
-                            },
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("lockstep worker panicked"))
-            .collect()
-    });
-    outs.sort_by_key(|&(shard_idx, _)| shard_idx);
-    outs.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -790,12 +524,12 @@ mod tests {
         }
     }
 
-    /// A lockstep plenary run — one dense coupled component split along
-    /// BSS lines — must merge to exactly the unsharded streaming result
-    /// for every `(threads, max_shards)` at the fixed default window.
+    /// The plenary is one coupled cell per channel: for every shard cap it
+    /// runs as `min(cap, 3)` shards of three components and merges to
+    /// exactly the unsharded streaming result.
     #[test]
-    fn lockstep_plenary_matches_unsharded() {
-        use ietf_workloads::{ietf_plenary_sharded, SessionScale};
+    fn sharded_plenary_matches_unsharded() {
+        use ietf_workloads::{ietf_plenary, ietf_plenary_sharded, SessionScale};
         let scale = SessionScale {
             seed: 13,
             users: 40,
@@ -803,35 +537,11 @@ mod tests {
             activity: 1.5,
             rts_fraction: 0.02,
         };
-        let reference = ietf_plenary_sharded(scale);
-        let baseline = run_streaming(
-            Scenario {
-                name: reference.name.clone(),
-                duration_us: reference.duration_us,
-                sim: reference.spec.build_unsharded(),
-            },
-            1_000_000,
-        );
-        for (threads, max_shards) in [(1, 1), (1, 6), (4, 2), (4, 6)] {
+        let baseline = run_streaming(ietf_plenary(scale), 1_000_000);
+        for (threads, max_shards) in [(1, 1), (2, 2), (4, 3), (2, 6)] {
             let sharded = run_sharded(ietf_plenary_sharded(scale), 1_000_000, threads, max_shards);
-            assert_eq!(
-                sharded.components, 3,
-                "the plenary is one coupled cell per channel"
-            );
-            if max_shards > sharded.components {
-                assert!(
-                    sharded.lockstep,
-                    "lockstep must engage past the component ceiling"
-                );
-                assert!(
-                    sharded.shards > sharded.components,
-                    "lockstep must cut finer than components (got {} shards)",
-                    sharded.shards
-                );
-            } else {
-                assert!(!sharded.lockstep, "components fill a cap of {max_shards}");
-                assert_eq!(sharded.shards, max_shards);
-            }
+            assert_eq!(sharded.components, 3, "one coupled cell per channel");
+            assert_eq!(sharded.shards, max_shards.min(3), "cap {max_shards}");
             let run = &sharded.run;
             assert_eq!(run.events_processed, baseline.events_processed);
             assert_eq!(run.frames_on_air, baseline.frames_on_air);

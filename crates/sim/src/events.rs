@@ -229,7 +229,7 @@ pub struct EventQueue {
     spill: BTreeMap<Micros, Vec<Entry>>,
     spill_len: usize,
     /// Bounded arena recycling entry buffers between drained slots and
-    /// spill buckets (per queue, hence per lockstep shard).
+    /// spill buckets (per queue, hence per shard).
     pool: VecPool<Entry>,
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,

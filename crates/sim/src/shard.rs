@@ -52,35 +52,13 @@
 //! channel has no AP anywhere (the client would rescan onto another
 //! channel). Callers fall back to the unsharded build.
 //!
-//! ## Time-window lockstep sharding (dense cells)
+//! ## One partitioner
 //!
-//! Component sharding has a hard ceiling: one coupled cell — the paper's
-//! 523-user plenary — is one component, so it runs on one core no matter
-//! how many are available. [`ShardSpec::partition_lockstep`] breaks that
-//! ceiling by splitting *coupled* stations across shards and advancing all
-//! shards in lockstep over bounded time windows:
-//!
-//! * Every shard materializes the **full roster** ([`ShardSpec::build_lockstep_shard`]):
-//!   owned stations behave normally, the rest are passive *shells* (identity
-//!   only), so node ids, MACs, RNG keys and topology rows agree everywhere.
-//! * A window of `W <= min(cs_delay, OVERLAP_GUARD_US)` microseconds is the
-//!   safe lookahead: a transmission started on one shard cannot influence
-//!   another station — not via carrier sense (one detection delay), not via
-//!   retroactive interference (the overlap guard), not via reception or NAV
-//!   (a frame airtime) — before the window ends. Shards therefore simulate
-//!   a window independently, then exchange [`crate::sim::RemoteNotice`]s at
-//!   the boundary and replay each other's transmissions as *ghosts*
-//!   ([`Simulator::apply_remote_tx`]) before the next window.
-//! * Each client is co-owned with its join-time argmax AP (the BSS
-//!   grouping): downlink traffic is enqueued at the AP from the client's
-//!   own traffic handler, which only co-ownership keeps shard-local.
-//! * The export set is the two-hop relevance closure
-//!   ([`crate::topology::SensingTopology::boundary_relevance`]): everything
-//!   coupled to an owned station or audible at an owned sniffer, plus the
-//!   neighbors of those — the interferer lists of relevant transmissions.
-//!
-//! The full protocol and its determinism argument live in
-//! `docs/DETERMINISM.md`.
+//! Component sharding is the only way a scenario is cut. A dense coupled
+//! cell — one channel of the paper's 523-user plenary — is one component
+//! and runs on one core; the plenary's three channels still run in
+//! parallel. [`ShardSpec::partition_lockstep`] and its plan types remain
+//! only as a planner the benchmark times; nothing executes their plans.
 
 use crate::config::SimConfig;
 use crate::geometry::Pos;
@@ -93,8 +71,12 @@ use crate::topology::{NodeSet, SensingTopology};
 use wifi_frames::phy::Rate;
 use wifi_frames::timing::Micros;
 
-/// Default lockstep window width, µs: the widest window that is safe under
-/// the default radio timing (`min(cs_delay, OVERLAP_GUARD_US)`).
+/// Default lockstep window width, µs (`min(cs_delay, OVERLAP_GUARD_US)`
+/// under the default radio timing).
+///
+/// Kept only because the benchmark passes it to
+/// [`ShardSpec::partition_lockstep`]; it goes once the benchmark drops its
+/// `sim.shard.lockstep*` metrics.
 pub const DEFAULT_LOCKSTEP_WINDOW_US: Micros = 10;
 
 /// One recorded station-build operation.
@@ -285,20 +267,20 @@ impl ShardPlan {
     }
 }
 
-/// One lockstep shard: a full-roster simulator that *owns* a subset of the
-/// stations (the rest are shells) and a subset of the sniffers, advancing
-/// in bounded windows against its sibling shards. Built by
-/// [`ShardSpec::partition_lockstep`], materialized by
-/// [`ShardSpec::build_lockstep_shard`].
+/// One shard of a [`LockstepPlan`]: the stations and sniffers it owns, and
+/// which owned stations are audible across the cut.
+///
+/// Kept only because the benchmark times [`ShardSpec::partition_lockstep`];
+/// it goes once the benchmark drops its `sim.shard.lockstep*` metrics.
 #[derive(Clone, Debug)]
 pub struct LockstepShard {
     /// Global indices of owned stations, ascending.
     owned: Vec<usize>,
     /// `owned_mask[gi]`: does this shard own global station `gi`?
     owned_mask: Vec<bool>,
-    /// `export_mask[gi]`: is owned station `gi` inside some sibling's
+    /// `exported[gi]`: is owned station `gi` inside some sibling's
     /// relevance closure (its transmissions crossing the cut)?
-    export_mask: Vec<bool>,
+    exported: Vec<bool>,
     /// Global indices of owned sniffers, ascending.
     sniffers: Vec<usize>,
 }
@@ -326,12 +308,15 @@ impl LockstepShard {
 
     /// How many owned stations are exported across the cut.
     pub fn exported_count(&self) -> usize {
-        self.export_mask.iter().filter(|&&e| e).count()
+        self.exported.iter().filter(|&&e| e).count()
     }
 }
 
 /// The result of lockstep partitioning: every station owned by exactly one
 /// shard, every sniffer owned by exactly one shard, and a validated window.
+///
+/// Kept only because the benchmark times [`ShardSpec::partition_lockstep`];
+/// it goes once the benchmark drops its `sim.shard.lockstep*` metrics.
 pub struct LockstepPlan {
     /// The shards, largest (by owned-station count) first.
     pub shards: Vec<LockstepShard>,
@@ -777,13 +762,16 @@ impl ShardSpec {
         sim
     }
 
-    /// Partitions the scenario for time-window lockstep execution (see the
-    /// module docs), or `None` when it cannot or should not engage:
-    /// dynamic channel management, an orphan client (cross-channel rescan),
-    /// `max_shards < 2`, an unsafe `window_us` (zero, or wider than
-    /// `min(cs_delay, OVERLAP_GUARD_US)`), or a scenario whose BSS groups
-    /// cannot fill more than one shard. Callers fall back to component
-    /// sharding or the unsharded build.
+    /// Splits the scenario along BSS lines into at most `max_shards`
+    /// owner sets (each client with its join-time argmax AP), with the
+    /// two-hop export set of each, or `None` under dynamic channel
+    /// management, an orphan client, `max_shards < 2`, an unsafe
+    /// `window_us` (zero, or wider than `min(cs_delay, OVERLAP_GUARD_US)`),
+    /// or a single BSS. Builds an O(N²) topology to do so.
+    ///
+    /// Kept only because the benchmark times it (`sim.shard.lockstep_plan_s`
+    /// and `_peak_mb`); no executor runs its plans. It goes once the
+    /// benchmark drops its `sim.shard.lockstep*` metrics.
     pub fn partition_lockstep(&self, max_shards: usize, window_us: Micros) -> Option<LockstepPlan> {
         let n = self.stations.len();
         if self.config.channel_mgmt.is_some() || max_shards < 2 || n == 0 {
@@ -882,8 +870,8 @@ impl ShardSpec {
         owned_lists.sort_by_key(|v| (std::cmp::Reverse(v.len()), v.first().copied()));
         let k = owned_lists.len();
         // Sniffers: deterministic round-robin by global index. Each sniffer
-        // is wholly owned by one shard; the relevance closure below makes
-        // every transmission it can hear reach that shard as a ghost.
+        // is wholly owned by one shard, and the stations it can hear join
+        // that shard's relevance closure below.
         let mut shard_sniffers: Vec<Vec<usize>> = vec![Vec::new(); k];
         for si in 0..self.sniffers.len() {
             shard_sniffers[si % k].push(si);
@@ -918,61 +906,20 @@ impl ShardSpec {
             .enumerate()
             .map(|(a, (owned, sniffers))| {
                 let mut owned_mask = vec![false; n];
-                let mut export_mask = vec![false; n];
+                let mut exported = vec![false; n];
                 for &gi in &owned {
                     owned_mask[gi] = true;
-                    export_mask[gi] = (0..k).any(|b| b != a && relevance[b].contains(gi));
+                    exported[gi] = (0..k).any(|b| b != a && relevance[b].contains(gi));
                 }
                 LockstepShard {
                     owned,
                     owned_mask,
-                    export_mask,
+                    exported,
                     sniffers,
                 }
             })
             .collect();
         Some(LockstepPlan { shards, window_us })
-    }
-
-    /// Materializes one lockstep shard: a full-roster per-channel simulator
-    /// in which `shard`'s stations are owned, every other station is a
-    /// passive shell, only `shard`'s sniffers exist, and the export mask is
-    /// installed. Node ids equal global build indices on every shard.
-    pub fn build_lockstep_shard(&self, shard: &LockstepShard) -> Simulator {
-        let mut sim = Simulator::new(self.config.clone());
-        sim.reserve_stations(self.stations.len(), shard.sniffers.len());
-        for (gi, op) in self.stations.iter().enumerate() {
-            sim.set_shell_mode(!shard.owns(gi));
-            match op {
-                StationOp::Ap {
-                    pos,
-                    channel_idx,
-                    ssid_len,
-                    adaptation,
-                    rts_policy,
-                } => {
-                    sim.add_ap_keyed(
-                        *pos,
-                        *channel_idx,
-                        *ssid_len,
-                        *adaptation,
-                        *rts_policy,
-                        gi as u64,
-                        *channel_idx,
-                    );
-                }
-                StationOp::Client(cfg) => {
-                    sim.add_client_keyed(cfg.clone(), gi as u64, cfg.channel_idx);
-                }
-            }
-        }
-        sim.set_shell_mode(false);
-        for &si in &shard.sniffers {
-            let cfg = self.sniffers[si];
-            sim.add_sniffer_keyed(cfg, si as u64, cfg.channel_idx);
-        }
-        sim.set_export_mask(shard.export_mask.clone());
-        sim
     }
 }
 

@@ -229,25 +229,11 @@ pub struct HotState {
     /// draws *fresh* fade realizations — physically its links changed —
     /// instead of replaying the fades memoized for its old position.
     pub fade_gen: Vec<u64>,
-    /// Lockstep sharding: this station is a passive *shell* — it exists for
-    /// identity only (node id, MAC, RNG keying, topology row) and is owned
-    /// by another shard. Shells seed no events, draw no randomness, join no
-    /// medium, and are skipped by every listener-side handler; their real
-    /// behaviour plays out on the owning shard and reaches this one as
-    /// ghost transmissions. Always `false` outside lockstep shards.
-    pub shell: Vec<bool>,
 }
 
 impl HotState {
     /// Appends one station's row; returns its node id.
-    pub fn push(
-        &mut self,
-        channel_idx: usize,
-        medium_idx: usize,
-        key: u64,
-        cw_min: u32,
-        shell: bool,
-    ) -> NodeId {
+    pub fn push(&mut self, channel_idx: usize, medium_idx: usize, key: u64, cw_min: u32) -> NodeId {
         let id = self.state.len();
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
@@ -262,7 +248,6 @@ impl HotState {
         self.medium_idx.push(medium_idx);
         self.key.push(key);
         self.fade_gen.push(0);
-        self.shell.push(shell);
         id
     }
 
@@ -474,7 +459,7 @@ mod tests {
 
     fn hot_with_one() -> HotState {
         let mut h = HotState::default();
-        h.push(0, 0, 0, 31, false);
+        h.push(0, 0, 0, 31);
         h
     }
 

@@ -440,24 +440,13 @@ impl SensingTopology {
         }
     }
 
-    /// The boundary-coupling closure of one lockstep shard: every station
-    /// whose transmissions the shard must observe for its own physics to be
-    /// exact (see [`crate::shard`] and `docs/DETERMINISM.md`).
+    /// The two-hop coupling closure `owned ∪ S₁ ∪ neighbors(S₁)` written
+    /// to `out`, where `S₁` is every station coupled to `owned` plus
+    /// `audible`; computed as word-wise ORs of the cached coupling rows.
     ///
-    /// Let `A` be the shard's `owned` stations and `S₁` the stations
-    /// directly coupled to `A` — plus `audible`, the stations any of the
-    /// shard's sniffers can hear (sniffer RSSI at or above the coupling
-    /// floor). Frames from `S₁` can be sensed, decoded, or sniffed inside
-    /// the shard, so they must be mirrored in. But a mirrored frame's
-    /// *interferer list* must also be complete — SINR sums every registered
-    /// interferer with no floor cut at the receiver, and a sniffer's
-    /// `missed_clean` verdict reads list emptiness — so the neighbors of
-    /// `S₁` (who interfere with frames from `S₁`) are needed too. The
-    /// result written to `out` is the 2-hop closure
-    /// `A ∪ S₁ ∪ neighbors(S₁)`, computed as word-wise ORs of the cached
-    /// coupling rows. Over-approximation is harmless (an extra ghost draws
-    /// no randomness and touches no owned state below the coupling floor);
-    /// a missing member would be an exactness bug.
+    /// Kept only because the benchmark times its one caller,
+    /// [`crate::shard::ShardSpec::partition_lockstep`]; both go once the
+    /// benchmark drops its `sim.shard.lockstep*` metrics.
     pub fn boundary_relevance(&self, owned: &NodeSet, audible: &NodeSet, out: &mut NodeSet) {
         let mut s1 = vec![0u64; self.wpr];
         for id in owned.iter() {

@@ -1,8 +1,8 @@
 //! Sharded ≡ unsharded under *mobility*: moves that change the coupling
 //! cut mid-run must not move a byte of simulated output.
 //!
-//! A serial mobile driver advances component shards in coherence-tick
-//! lockstep (moves only apply at tick boundaries), maintains a driver-side
+//! A serial mobile driver advances component shards tick by tick (moves
+//! only apply at coherence-tick boundaries), maintains a driver-side
 //! [`SensingTopology`] incrementally, and watches for coupling-graph drift
 //! with [`ShardPlan::drifted`]. When a move makes the natural cut escape
 //! the current plan's medium grouping, the driver accumulates the
