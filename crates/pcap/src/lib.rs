@@ -36,7 +36,7 @@ pub mod stream;
 mod writer;
 
 pub use format::{LinkType, PacketRef, PcapError, PcapPacket, MAGIC_BE, MAGIC_LE, MAGIC_NS_LE};
-pub use lossy::{is_pcapng, read_pcap_lossy, read_pcapng_lossy, IngestReport};
+pub use lossy::{is_pcapng, IngestReport};
 pub use pcapng::{NgPacket, NgPacketRef, PcapNgReader, PcapNgWriter};
 pub use reader::PcapReader;
 pub use stream::{ChunkedSource, FillStatus, LossyPcapNgStream, LossyPcapStream, Polled};

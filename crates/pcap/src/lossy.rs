@@ -22,15 +22,13 @@
 //! undamaged file both readers are byte-identical to strict mode and the
 //! report shows zero skips — a property the test suite enforces.
 //!
-//! The decode engines live in [`crate::stream`] and run over a bounded
-//! rolling window, so captures larger than RAM ingest in O(window) memory
-//! through [`crate::LossyPcapStream`] / [`crate::LossyPcapNgStream`]. The
-//! whole-buffer functions here are thin collecting wrappers over those
-//! streams, which keeps the two paths equivalent by construction.
+//! The decode engines are [`crate::LossyPcapStream`] and
+//! [`crate::LossyPcapNgStream`] in [`crate::stream`]. They run over a
+//! bounded rolling window, so captures larger than RAM ingest in O(window)
+//! memory, and an in-memory capture is just a `&[u8]` source. This module
+//! holds the accounting they share and the container sniff.
 
-use crate::format::{LinkType, PcapError, PcapPacket};
-use crate::pcapng::{NgPacket, BT_SHB};
-use crate::stream::{LossyPcapNgStream, LossyPcapStream};
+use crate::pcapng::BT_SHB;
 
 /// Accounting of one lossy ingestion pass. All counters are cumulative;
 /// [`IngestReport::merge`] folds per-file reports into a campaign total.
@@ -106,26 +104,6 @@ impl IngestReport {
     }
 }
 
-/// Result of a lossy classic-pcap pass.
-#[derive(Debug)]
-pub struct PcapIngest {
-    /// The file's data-link type.
-    pub link: LinkType,
-    /// Every record that decoded, clean or recovered.
-    pub packets: Vec<PcapPacket>,
-    /// What happened along the way.
-    pub report: IngestReport,
-}
-
-/// Result of a lossy pcapng pass.
-#[derive(Debug)]
-pub struct PcapNgIngest {
-    /// Every packet that decoded, tagged with its interface's link type.
-    pub packets: Vec<NgPacket>,
-    /// What happened along the way.
-    pub report: IngestReport,
-}
-
 /// True when the buffer leads with a pcapng Section Header Block. The SHB
 /// type bytes are byte-order palindromic, so one comparison covers both
 /// endiannesses.
@@ -133,55 +111,12 @@ pub fn is_pcapng(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) == BT_SHB
 }
 
-/// Reads a classic pcap buffer in lossy mode: damaged records are skipped
-/// and the reader resynchronizes on the next plausible record boundary.
-/// Only an unusable global header (bad magic, truncated, wrong version) is
-/// a hard error — there is nothing to recover without it.
-///
-/// Collecting wrapper over [`LossyPcapStream`]; for captures that should
-/// not be materialized, drive the stream directly.
-pub fn read_pcap_lossy(bytes: &[u8]) -> Result<PcapIngest, PcapError> {
-    let mut stream = LossyPcapStream::new(bytes)?;
-    let mut packets = Vec::new();
-    while let Some(pkt) = stream
-        .next_packet()
-        .expect("in-memory source cannot fail mid-stream")
-    {
-        packets.push(pkt.to_owned());
-    }
-    Ok(PcapIngest {
-        link: stream.link(),
-        packets,
-        report: *stream.report(),
-    })
-}
-
-/// Reads a pcapng buffer in lossy mode. Total: a stream with no
-/// recoverable section simply yields zero packets with every byte
-/// accounted as skipped.
-///
-/// Collecting wrapper over [`LossyPcapNgStream`]; for captures that should
-/// not be materialized, drive the stream directly.
-pub fn read_pcapng_lossy(bytes: &[u8]) -> PcapNgIngest {
-    let mut stream = LossyPcapNgStream::new(bytes);
-    let mut packets = Vec::new();
-    while let Some(pkt) = stream
-        .next_packet()
-        .expect("in-memory source cannot fail mid-stream")
-    {
-        packets.push(pkt.to_owned());
-    }
-    PcapNgIngest {
-        packets,
-        report: *stream.report(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::GLOBAL_HEADER_LEN;
+    use crate::format::{LinkType, PcapError, PcapPacket, GLOBAL_HEADER_LEN};
     use crate::pcapng::{PcapNgWriter, BT_EPB, BT_IDB, BYTE_ORDER_MAGIC};
+    use crate::stream::{drain_classic, drain_ng};
     use crate::writer::PcapWriter;
     use crate::PcapReader;
 
@@ -213,10 +148,10 @@ mod tests {
             .packets()
             .collect::<Result<_, _>>()
             .unwrap();
-        let lossy = read_pcap_lossy(&buf).unwrap();
-        assert_eq!(lossy.packets, strict);
-        assert!(lossy.report.is_clean());
-        assert_eq!(lossy.report.records_ok, 50);
+        let (_, packets, report) = drain_classic(&buf[..]).unwrap();
+        assert_eq!(packets, strict);
+        assert!(report.is_clean());
+        assert_eq!(report.records_ok, 50);
     }
 
     #[test]
@@ -227,9 +162,9 @@ mod tests {
         while let Some(p) = r.next_packet().unwrap() {
             strict.push(p);
         }
-        let lossy = read_pcapng_lossy(&buf);
-        assert_eq!(lossy.packets, strict);
-        assert!(lossy.report.is_clean());
+        let (packets, report) = drain_ng(&buf[..]);
+        assert_eq!(packets, strict);
+        assert!(report.is_clean());
     }
 
     #[test]
@@ -238,12 +173,12 @@ mod tests {
         // Blast the caplen of record 4 (records are 16 + 40 bytes each).
         let rec4 = GLOBAL_HEADER_LEN + 4 * 56;
         buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        let out = read_pcap_lossy(&buf).unwrap();
-        assert_eq!(out.report.resyncs, 1);
-        assert!(out.report.records_recovered >= 1);
+        let (_, packets, report) = drain_classic(&buf[..]).unwrap();
+        assert_eq!(report.resyncs, 1);
+        assert!(report.records_recovered >= 1);
         // All other records survive: 9 of 10 (the damaged one is lost).
-        assert_eq!(out.packets.len(), 9);
-        assert!(out.packets.iter().all(|p| p.data.len() == 40));
+        assert_eq!(packets.len(), 9);
+        assert!(packets.iter().all(|p| p.data.len() == 40));
     }
 
     #[test]
@@ -253,16 +188,16 @@ mod tests {
         buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
         let strict: Result<Vec<_>, _> = PcapReader::new(&buf[..]).unwrap().packets().collect();
         assert!(strict.is_err());
-        assert_eq!(read_pcap_lossy(&buf).unwrap().packets.len(), 9);
+        assert_eq!(drain_classic(&buf[..]).unwrap().1.len(), 9);
     }
 
     #[test]
     fn classic_truncated_tail_is_flagged() {
         let mut buf = classic_file(5);
         buf.truncate(buf.len() - 17);
-        let out = read_pcap_lossy(&buf).unwrap();
-        assert!(out.report.truncated_tail);
-        assert_eq!(out.packets.len(), 4);
+        let (_, packets, report) = drain_classic(&buf[..]).unwrap();
+        assert!(report.truncated_tail);
+        assert_eq!(packets.len(), 4);
     }
 
     #[test]
@@ -274,11 +209,11 @@ mod tests {
         let mut buf = base[..cut].to_vec();
         buf.extend_from_slice(&[0x5A; 37]);
         buf.extend_from_slice(&base[cut..]);
-        let out = read_pcapng_lossy(&buf);
-        assert_eq!(out.packets.len(), 6, "all six packets survive");
-        assert_eq!(out.report.resyncs, 1);
-        assert_eq!(out.report.records_recovered, 1);
-        assert_eq!(out.report.bytes_skipped, 37);
+        let (packets, report) = drain_ng(&buf[..]);
+        assert_eq!(packets.len(), 6, "all six packets survive");
+        assert_eq!(report.resyncs, 1);
+        assert_eq!(report.records_recovered, 1);
+        assert_eq!(report.bytes_skipped, 37);
     }
 
     #[test]
@@ -323,31 +258,31 @@ mod tests {
             buf.extend_from_slice(&[0xAB, 0xCD, 0, 0]);
             buf.extend_from_slice(&36u32.to_le_bytes());
         }
-        let out = read_pcapng_lossy(&buf);
-        assert_eq!(out.packets.len(), 1);
-        assert_eq!(out.packets[0].link, LinkType::Ieee80211);
-        assert_eq!(out.packets[0].packet.timestamp_us, 77);
+        let (packets, report) = drain_ng(&buf[..]);
+        assert_eq!(packets.len(), 1);
+        assert_eq!(packets[0].link, LinkType::Ieee80211);
+        assert_eq!(packets[0].packet.timestamp_us, 77);
         // One skipped IDB + one skipped EPB.
-        assert_eq!(out.report.blocks_skipped, 2);
+        assert_eq!(report.blocks_skipped, 2);
     }
 
     #[test]
     fn garbage_only_stream_yields_nothing() {
         let junk: Vec<u8> = (0..700u32).map(|i| (i * 37 + 11) as u8).collect();
-        let out = read_pcapng_lossy(&junk);
-        assert!(out.packets.is_empty());
-        assert_eq!(out.report.records_total(), 0);
-        assert!(out.report.bytes_skipped > 0);
+        let (packets, report) = drain_ng(&junk[..]);
+        assert!(packets.is_empty());
+        assert_eq!(report.records_total(), 0);
+        assert!(report.bytes_skipped > 0);
     }
 
     #[test]
     fn bad_global_header_is_a_hard_error() {
         assert!(matches!(
-            read_pcap_lossy(&[0u8; 40]),
+            drain_classic(&[0u8; 40][..]),
             Err(PcapError::BadMagic(_))
         ));
         assert!(matches!(
-            read_pcap_lossy(&[1, 2, 3]),
+            drain_classic(&[1u8, 2, 3][..]),
             Err(PcapError::TruncatedFile)
         ));
     }

@@ -203,14 +203,23 @@ impl<R: Read> PcapNgReader<R> {
         if total_len < 28 || !total_len.is_multiple_of(4) {
             return Err(PcapError::BadBlockLength(total_len as u32));
         }
+        if total_len as u32 > MAX_SANE_CAPLEN * 2 {
+            return Err(PcapError::OversizedRecord(total_len as u32));
+        }
         // Consume the remaining body (version, section length, options) and
-        // the trailing length.
+        // the trailing length, which must repeat the leading one as in every
+        // other block.
         let mut remaining = vec![0u8; total_len - 12 - 4 + 4];
         if !matches!(
             read_fully(&mut self.inner, &mut remaining)?,
             ReadOutcome::Full
         ) {
             return Err(PcapError::TruncatedFile);
+        }
+        let tail = &remaining[remaining.len() - 4..];
+        let trailing = self.u32_of([tail[0], tail[1], tail[2], tail[3]]) as usize;
+        if trailing != total_len {
+            return Err(PcapError::BadBlockLength(trailing as u32));
         }
         let major = self.u16_of([remaining[0], remaining[1]]);
         if major != 1 {
@@ -726,6 +735,29 @@ mod tests {
         assert!(matches!(
             r.next_packet(),
             Err(PcapError::BadBlockLength(44))
+        ));
+    }
+
+    #[test]
+    fn shb_trailing_length_mismatch_is_bad_block_length() {
+        let mut buf = Vec::new();
+        {
+            let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
+            w.write_packet(1, &[0xAA; 8]).unwrap();
+        }
+        // The SHB is 28 bytes; its trailing length is the last four.
+        buf[24..28].copy_from_slice(&32u32.to_le_bytes());
+        let mut r = PcapNgReader::new(&buf[..]);
+        assert!(matches!(
+            r.next_packet(),
+            Err(PcapError::BadBlockLength(32))
+        ));
+        // An absurd SHB length fails before any body is buffered.
+        buf[4..8].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        let mut r = PcapNgReader::new(&buf[..]);
+        assert!(matches!(
+            r.next_packet(),
+            Err(PcapError::OversizedRecord(0xFFFF_FFF0))
         ));
     }
 

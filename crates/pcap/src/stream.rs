@@ -1,12 +1,9 @@
-//! Chunked streaming engines behind the lossy readers.
+//! Chunked streaming engines: the lossy readers.
 //!
-//! [`crate::read_pcap_lossy`] and [`crate::read_pcapng_lossy`] historically
-//! worked over a whole-file byte slice, which meant ingesting a capture cost
-//! O(file) memory before the first record came out. The engines here make
-//! the same decisions over a **bounded rolling window** fed from any
-//! [`Read`] source, so a multi-gigabyte sniffer trace decodes in O(window)
-//! memory; the whole-buffer functions are now thin collecting wrappers over
-//! these streams.
+//! [`LossyPcapStream`] and [`LossyPcapNgStream`] make every lossy decode
+//! decision over a **bounded rolling window** fed from any [`Read`] source,
+//! so a multi-gigabyte sniffer trace decodes in O(window) memory. An
+//! in-memory capture is read by passing a `&[u8]` as the source.
 //!
 //! # The window invariant
 //!
@@ -24,12 +21,13 @@
 //! [`ChunkedSource`] guarantees that after a refill the window holds at
 //! least that many bytes *or* the source is exhausted and the window is
 //! exactly the remainder of the stream. Under that invariant every
-//! boundary test against `window.len()` means precisely what it meant
-//! against `bytes.len()` in the whole-buffer engine, so the streams are
-//! decision-for-decision identical to the batch readers — including every
-//! [`IngestReport`] counter — for *any* chunking of the underlying reads.
-//! The tests at the bottom enforce this by differencing the two paths over
-//! clean and chaos-corrupted captures at several read granularities.
+//! boundary test against `window.len()` means precisely what it would mean
+//! against the length of the whole stream, so a decode is
+//! decision-for-decision identical — including every [`IngestReport`]
+//! counter — for *any* chunking of the underlying reads. The tests at the
+//! bottom enforce this by differencing a trickled read against a
+//! whole-buffer read over clean and chaos-corrupted captures at several
+//! read granularities.
 //!
 //! # Live (non-blocking) sources
 //!
@@ -44,7 +42,7 @@
 //! report [`Polled::Pending`]. Resynchronization after corruption always
 //! waits for a full (or end-of-stream) window. Consequently a poll-driven
 //! decode of a growing file converges, byte-for-byte in records and
-//! accounting, to the batch decode of the final file contents.
+//! accounting, to the whole-stream decode of the final file contents.
 
 use crate::format::{
     LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE, MAGIC_NS_BE,
@@ -307,11 +305,10 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
 }
 
 /// A lossy, resynchronizing classic-pcap reader over any byte stream, in
-/// O(window) memory.
-///
-/// Decision-for-decision identical — records *and* [`IngestReport`]
-/// accounting — to [`crate::read_pcap_lossy`], which is a collecting wrapper
-/// over this type.
+/// O(window) memory. Records *and* [`IngestReport`] accounting are the same
+/// for any chunking of the source's reads. Only an unusable global header
+/// (bad magic, truncated, wrong version) is a hard error — there is nothing
+/// to recover without it.
 pub struct LossyPcapStream<R> {
     src: ChunkedSource<R>,
     header: ClassicHeader,
@@ -378,8 +375,8 @@ impl<R: Read> LossyPcapStream<R> {
 
     /// Non-blocking decode step; see the module docs on live sources. On
     /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the batch decode
-    /// of the final bytes.
+    /// changes, so any interleaving of polls converges to the whole-stream
+    /// decode of the final bytes.
     pub fn poll_packet(&mut self) -> Result<Polled<PacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
@@ -393,7 +390,7 @@ impl<R: Read> LossyPcapStream<R> {
                     if w.len() < RECORD_HEADER_LEN {
                         // Trailing sliver too small for a record: the
                         // scan discards it without a truncated-tail
-                        // flag, same as the batch engine.
+                        // flag, same as a whole-stream decode.
                         self.report.bytes_skipped += w.len() as u64;
                         let n = w.len();
                         self.src.consume(n);
@@ -429,7 +426,7 @@ impl<R: Read> LossyPcapStream<R> {
             }
             match record_head(self.src.window(), &self.header) {
                 Ok(rec) => {
-                    // In-window sane record: the batch engine over any
+                    // In-window sane record: a whole-stream decode over any
                     // extension of this window decodes it identically, so
                     // emitting is safe even on a partial window.
                     self.last_sec = Some(rec.0 / 1_000_000);
@@ -531,9 +528,8 @@ enum NgBlockKind {
 }
 
 /// A lossy, resynchronizing pcapng reader over any byte stream, in
-/// O(window) memory. Total like [`crate::read_pcapng_lossy`] (its collecting
-/// wrapper): a stream with no recoverable section yields zero packets with
-/// every byte accounted as skipped; only source I/O can error.
+/// O(window) memory. Total: a stream with no recoverable section yields zero
+/// packets with every byte accounted as skipped; only source I/O can error.
 pub struct LossyPcapNgStream<R> {
     src: ChunkedSource<R>,
     report: IngestReport,
@@ -585,8 +581,8 @@ impl<R: Read> LossyPcapNgStream<R> {
 
     /// Non-blocking decode step; see the module docs on live sources. On
     /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the batch decode
-    /// of the final bytes.
+    /// changes, so any interleaving of polls converges to the whole-stream
+    /// decode of the final bytes.
     pub fn poll_packet(&mut self) -> Result<Polled<NgPacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
@@ -723,11 +719,36 @@ impl<R: Read> LossyPcapNgStream<R> {
     }
 }
 
+/// Drains a lossy classic stream: link type, surviving packets, and the
+/// final report.
+#[cfg(test)]
+pub(crate) fn drain_classic<R: Read>(
+    src: R,
+) -> Result<(LinkType, Vec<crate::PcapPacket>, IngestReport), PcapError> {
+    let mut s = LossyPcapStream::new(src)?;
+    let mut out = Vec::new();
+    while let Some(p) = s.next_packet()? {
+        out.push(p.to_owned());
+    }
+    Ok((s.link(), out, s.report))
+}
+
+/// Drains a lossy pcapng stream over a source that cannot fail: surviving
+/// packets and the final report.
+#[cfg(test)]
+pub(crate) fn drain_ng<R: Read>(src: R) -> (Vec<crate::NgPacket>, IngestReport) {
+    let mut s = LossyPcapNgStream::new(src);
+    let mut out = Vec::new();
+    while let Some(p) = s.next_packet().expect("source cannot fail") {
+        out.push(p.to_owned());
+    }
+    (out, s.report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
-    use crate::lossy::{read_pcap_lossy, read_pcapng_lossy};
     use crate::pcapng::PcapNgWriter;
     use crate::writer::PcapWriter;
     use crate::PcapPacket;
@@ -773,46 +794,25 @@ mod tests {
         buf
     }
 
-    fn stream_classic(bytes: &[u8], max: usize) -> (Vec<PcapPacket>, IngestReport) {
-        let mut s = LossyPcapStream::new(small(bytes, max)).unwrap();
-        let mut out = Vec::new();
-        while let Some(p) = s.next_packet().unwrap() {
-            out.push(p.to_owned());
-        }
-        (out, *s.report())
-    }
-
-    fn stream_ng(bytes: &[u8], max: usize) -> (Vec<crate::NgPacket>, IngestReport) {
-        let mut s = LossyPcapNgStream::new(small(bytes, max));
-        let mut out = Vec::new();
-        while let Some(p) = s.next_packet().unwrap() {
-            out.push(p.to_owned());
-        }
-        (out, *s.report())
-    }
-
     #[test]
     fn classic_chunking_is_invisible_on_clean_files() {
         let buf = classic_file(60);
-        let batch = read_pcap_lossy(&buf).unwrap();
+        let whole = drain_classic(&buf[..]).unwrap();
         for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream_classic(&buf, max);
-            assert_eq!(pkts, batch.packets, "read granularity {max}");
-            assert_eq!(report, batch.report, "read granularity {max}");
+            let trickled = drain_classic(small(&buf, max)).unwrap();
+            assert_eq!(trickled, whole, "read granularity {max}");
         }
-        assert!(batch.report.is_clean());
+        assert!(whole.2.is_clean());
     }
 
     #[test]
     fn ng_chunking_is_invisible_on_clean_files() {
         let buf = ng_file(60);
-        let batch = read_pcapng_lossy(&buf);
+        let whole = drain_ng(&buf[..]);
         for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream_ng(&buf, max);
-            assert_eq!(pkts, batch.packets, "read granularity {max}");
-            assert_eq!(report, batch.report, "read granularity {max}");
+            assert_eq!(drain_ng(small(&buf, max)), whole, "read granularity {max}");
         }
-        assert!(batch.report.is_clean());
+        assert!(whole.1.is_clean());
     }
 
     #[test]
@@ -827,11 +827,10 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let batch = read_pcap_lossy(&buf).unwrap();
+            let whole = drain_classic(&buf[..]).unwrap();
             for max in [1, 13, 256] {
-                let (pkts, report) = stream_classic(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                let trickled = drain_classic(small(&buf, max)).unwrap();
+                assert_eq!(trickled, whole, "seed {seed} granularity {max}");
             }
         }
     }
@@ -848,11 +847,10 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let batch = read_pcapng_lossy(&buf);
+            let whole = drain_ng(&buf[..]);
             for max in [1, 13, 256] {
-                let (pkts, report) = stream_ng(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                let trickled = drain_ng(small(&buf, max));
+                assert_eq!(trickled, whole, "seed {seed} granularity {max}");
             }
         }
     }
@@ -945,29 +943,26 @@ mod tests {
     }
 
     #[test]
-    fn classic_polling_converges_to_batch_on_clean_files() {
+    fn classic_polling_converges_to_whole_read_on_clean_files() {
         let buf = classic_file(60);
-        let batch = read_pcap_lossy(&buf).unwrap();
+        let (_, pkts, report) = drain_classic(&buf[..]).unwrap();
         for max in [7, 64, 4096] {
-            let (pkts, report) = poll_classic(&buf, max);
-            assert_eq!(pkts, batch.packets, "granularity {max}");
-            assert_eq!(report, batch.report, "granularity {max}");
+            let polled = poll_classic(&buf, max);
+            assert_eq!(polled, (pkts.clone(), report), "granularity {max}");
         }
     }
 
     #[test]
-    fn ng_polling_converges_to_batch_on_clean_files() {
+    fn ng_polling_converges_to_whole_read_on_clean_files() {
         let buf = ng_file(60);
-        let batch = read_pcapng_lossy(&buf);
+        let whole = drain_ng(&buf[..]);
         for max in [7, 64, 4096] {
-            let (pkts, report) = poll_ng(&buf, max);
-            assert_eq!(pkts, batch.packets, "granularity {max}");
-            assert_eq!(report, batch.report, "granularity {max}");
+            assert_eq!(poll_ng(&buf, max), whole, "granularity {max}");
         }
     }
 
     #[test]
-    fn classic_polling_converges_to_batch_under_chaos() {
+    fn classic_polling_converges_to_whole_read_under_chaos() {
         for seed in 0..25u64 {
             let mut buf = classic_file(30);
             let mut rng = ChaosRng::new(seed);
@@ -978,17 +973,20 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let batch = read_pcap_lossy(&buf).unwrap();
+            let (_, pkts, report) = drain_classic(&buf[..]).unwrap();
             for max in [13, 256] {
-                let (pkts, report) = poll_classic(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                let polled = poll_classic(&buf, max);
+                assert_eq!(
+                    polled,
+                    (pkts.clone(), report),
+                    "seed {seed} granularity {max}"
+                );
             }
         }
     }
 
     #[test]
-    fn ng_polling_converges_to_batch_under_chaos() {
+    fn ng_polling_converges_to_whole_read_under_chaos() {
         for seed in 0..25u64 {
             let mut buf = ng_file(30);
             let mut rng = ChaosRng::new(seed ^ 0x5A5A);
@@ -999,11 +997,9 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let batch = read_pcapng_lossy(&buf);
+            let whole = drain_ng(&buf[..]);
             for max in [13, 256] {
-                let (pkts, report) = poll_ng(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                assert_eq!(poll_ng(&buf, max), whole, "seed {seed} granularity {max}");
             }
         }
     }

@@ -7,7 +7,10 @@
 use proptest::prelude::*;
 use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
 use wifi_pcap::pcapng::{NgPacket, PcapNgReader, PcapNgWriter};
-use wifi_pcap::{read_pcap_lossy, read_pcapng_lossy, LinkType, PcapReader, PcapWriter};
+use wifi_pcap::{
+    IngestReport, LinkType, LossyPcapNgStream, LossyPcapStream, PcapError, PcapPacket, PcapReader,
+    PcapWriter,
+};
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     proptest::collection::vec(
@@ -53,6 +56,28 @@ fn hostile() -> ChaosConfig {
     }
 }
 
+/// Drains a lossy classic stream over `bytes`: link type, surviving
+/// packets, and the final report.
+fn lossy_classic(bytes: &[u8]) -> Result<(LinkType, Vec<PcapPacket>, IngestReport), PcapError> {
+    let mut s = LossyPcapStream::new(bytes)?;
+    let mut out = Vec::new();
+    while let Some(p) = s.next_packet()? {
+        out.push(p.to_owned());
+    }
+    Ok((s.link(), out, *s.report()))
+}
+
+/// Drains a lossy pcapng stream over `bytes`: surviving packets and the
+/// final report.
+fn lossy_ng(bytes: &[u8]) -> (Vec<NgPacket>, IngestReport) {
+    let mut s = LossyPcapNgStream::new(bytes);
+    let mut out = Vec::new();
+    while let Some(p) = s.next_packet().expect("in-memory source cannot fail") {
+        out.push(p.to_owned());
+    }
+    (out, *s.report())
+}
+
 fn drain_strict_classic(bytes: &[u8]) {
     if let Ok(r) = PcapReader::new(bytes) {
         for item in r.packets() {
@@ -75,8 +100,8 @@ proptest! {
     ) {
         drain_strict_classic(&bytes);
         drain_strict_ng(&bytes);
-        let _ = read_pcap_lossy(&bytes);
-        let report = read_pcapng_lossy(&bytes).report;
+        let _ = lossy_classic(&bytes);
+        let (_, report) = lossy_ng(&bytes);
         // A stream with no section header yields no records.
         if !bytes.windows(4).any(|w| w == [0x0A, 0x0D, 0x0D, 0x0A]) {
             prop_assert_eq!(report.records_total(), 0);
@@ -91,14 +116,11 @@ proptest! {
         let mut bytes = classic_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
         drain_strict_classic(&bytes);
-        if let Ok(ingest) = read_pcap_lossy(&bytes) {
+        if let Ok((_, packets, report)) = lossy_classic(&bytes) {
             // Resyncs without recoveries (or vice versa) would mean the
             // report lies about what the reader did.
-            prop_assert!(ingest.report.records_recovered == 0 || ingest.report.resyncs > 0);
-            prop_assert_eq!(
-                ingest.report.records_total() as usize,
-                ingest.packets.len()
-            );
+            prop_assert!(report.records_recovered == 0 || report.resyncs > 0);
+            prop_assert_eq!(report.records_total() as usize, packets.len());
         }
     }
 
@@ -110,8 +132,8 @@ proptest! {
         let mut bytes = ng_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
         drain_strict_ng(&bytes);
-        let ingest = read_pcapng_lossy(&bytes);
-        prop_assert_eq!(ingest.report.records_total() as usize, ingest.packets.len());
+        let (packets, report) = lossy_ng(&bytes);
+        prop_assert_eq!(report.records_total() as usize, packets.len());
     }
 
     #[test]
@@ -122,11 +144,11 @@ proptest! {
             .packets()
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
-        let lossy = read_pcap_lossy(&bytes).unwrap();
-        prop_assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
-        prop_assert_eq!(lossy.link, LinkType::Radiotap);
-        prop_assert_eq!(lossy.packets.len(), strict.len());
-        for (a, b) in lossy.packets.iter().zip(&strict) {
+        let (link, packets, report) = lossy_classic(&bytes).unwrap();
+        prop_assert!(report.is_clean(), "clean file: {:?}", report);
+        prop_assert_eq!(link, LinkType::Radiotap);
+        prop_assert_eq!(packets.len(), strict.len());
+        for (a, b) in packets.iter().zip(&strict) {
             prop_assert_eq!(a.timestamp_us, b.timestamp_us);
             prop_assert_eq!(&a.data, &b.data);
             prop_assert_eq!(a.orig_len, b.orig_len);
@@ -141,10 +163,10 @@ proptest! {
         while let Some(pkt) = r.next_packet().unwrap() {
             strict.push(pkt);
         }
-        let lossy = read_pcapng_lossy(&bytes);
-        prop_assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
-        prop_assert_eq!(lossy.packets.len(), strict.len());
-        for (a, b) in lossy.packets.iter().zip(&strict) {
+        let (packets, report) = lossy_ng(&bytes);
+        prop_assert!(report.is_clean(), "clean file: {:?}", report);
+        prop_assert_eq!(packets.len(), strict.len());
+        for (a, b) in packets.iter().zip(&strict) {
             prop_assert_eq!(a.link, b.link);
             prop_assert_eq!(a.packet.timestamp_us, b.packet.timestamp_us);
             prop_assert_eq!(&a.packet.data, &b.packet.data);

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 struct State<T> {
     buf: VecDeque<T>,
@@ -112,7 +113,19 @@ impl<T> Receiver<T> {
     /// drained. A resident service polls with this instead of parking in
     /// [`Receiver::recv`], so one stalled source cannot wedge the merge loop.
     pub fn try_recv(&self) -> TryRecv<T> {
-        let mut state = lock_state(&self.shared.state);
+        self.recv_timeout(Duration::ZERO)
+    }
+
+    /// [`Receiver::recv`] bounded by `timeout`: wakes as soon as an item is
+    /// pushed or the producer goes away, and reports [`TryRecv::Empty`] if
+    /// neither happens in time.
+    pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<T> {
+        let state = lock_state(&self.shared.state);
+        let (mut state, _) = self
+            .shared
+            .not_empty
+            .wait_timeout_while(state, timeout, |s| s.buf.is_empty() && s.producer_alive)
+            .unwrap_or_else(PoisonError::into_inner);
         let item = state.buf.pop_front();
         let producer_alive = state.producer_alive;
         drop(state);
@@ -259,6 +272,17 @@ impl<T> BatchReceiver<T> {
         }
     }
 
+    /// Blocks until [`BatchReceiver::try_next`] has something to report —
+    /// an item, or the producer's disconnect — or until `timeout` passes.
+    /// Takes nothing: the caller's next `try_next` sees what arrived.
+    pub fn wait(&mut self, timeout: Duration) {
+        if self.current.len() == 0 {
+            if let TryRecv::Item(batch) = self.rx.recv_timeout(timeout) {
+                self.current = batch.into_iter();
+            }
+        }
+    }
+
     /// Full batches currently queued in the channel (excludes the batch this
     /// receiver is part-way through). Snapshot for status reporting.
     pub fn queued_batches(&self) -> usize {
@@ -380,6 +404,66 @@ mod tests {
         assert_eq!(rx.try_next(), TryRecv::Item(3));
         assert_eq!(rx.try_next(), TryRecv::Empty);
         drop(tx);
+        assert_eq!(rx.try_next(), TryRecv::Disconnected);
+    }
+
+    #[test]
+    fn recv_timeout_wakes_on_push_before_the_timeout() {
+        // The producer's delay makes it likely the receiver is parked when
+        // the push lands; if it is not, the receive returns at once and the
+        // test still holds. A missed wake-up shows as the 30 s timeout.
+        let (tx, rx) = channel::<u32>(1);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(3).unwrap();
+            tx
+        });
+        let t = std::time::Instant::now();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), TryRecv::Item(3));
+        assert!(t.elapsed() < Duration::from_secs(10), "woke on the push");
+        drop(producer.join().unwrap());
+    }
+
+    #[test]
+    fn recv_timeout_returns_empty_on_timeout() {
+        let (_tx, rx) = channel::<u32>(1);
+        let t = std::time::Instant::now();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(30)), TryRecv::Empty);
+        assert!(t.elapsed() >= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn recv_timeout_reports_disconnect() {
+        let (tx, rx) = channel::<u32>(1);
+        tx.send(1).unwrap();
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), TryRecv::Item(1));
+        let t = std::time::Instant::now();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(30)),
+            TryRecv::Disconnected
+        );
+        assert!(t.elapsed() < Duration::from_secs(10), "woke on the drop");
+        producer.join().unwrap();
+    }
+
+    #[test]
+    fn batch_wait_readies_try_next_without_taking() {
+        let (mut tx, mut rx) = batch_channel::<u32>(2, 2);
+        rx.wait(Duration::from_millis(10));
+        assert_eq!(rx.try_next(), TryRecv::Empty);
+        tx.push(1).unwrap();
+        tx.push(2).unwrap();
+        rx.wait(Duration::from_secs(30));
+        assert_eq!(rx.queued_batches(), 0, "the batch moved to the receiver");
+        assert_eq!(rx.try_next(), TryRecv::Item(1));
+        rx.wait(Duration::from_secs(30)); // an item is ready: returns at once
+        assert_eq!(rx.try_next(), TryRecv::Item(2));
+        drop(tx);
+        rx.wait(Duration::from_secs(30));
         assert_eq!(rx.try_next(), TryRecv::Disconnected);
     }
 

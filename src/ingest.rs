@@ -1,36 +1,30 @@
-//! Streaming multi-sniffer ingestion: decode N capture files concurrently,
-//! merge them online, and feed the per-second analysis — file bytes to
-//! congestion statistics in O(window) memory, never materializing a trace.
+//! Multi-sniffer ingestion of capture files: decode N captures
+//! concurrently, merge them online, and feed the per-second analysis — file
+//! bytes to congestion statistics in O(window) memory, never materializing
+//! a trace.
 //!
-//! The pipeline is one decode thread per sniffer file (each running a
-//! [`CaptureStream`]), a bounded batch channel per sniffer for backpressure,
-//! and the k-way [`MergeStream`] heap on the consuming side driving a
-//! [`SecondAccumulator`]. A slow consumer therefore bounds every decoder's
-//! lead to a few batches instead of a whole file; a capture larger than RAM
-//! analyzes in constant memory.
+//! There is one ingest engine, in [`crate::serve`]: one decode thread per
+//! sniffer, a bounded batch channel per sniffer for backpressure, and an
+//! [`OnlineMerge`](congestion::OnlineMerge) loop driving a
+//! [`SecondAccumulator`](congestion::persec::SecondAccumulator).
+//! [`analyze_capture_streams`] is that engine with its stop flag raised
+//! before any source starts: a source's end-of-file is then final, so the
+//! run ends once every file has been read, with exactly the result a
+//! resident `serve` reaches after a stop over the same bytes.
 //!
-//! Deadlock freedom: `run_parallel` is given one thread per file, so every
-//! producer makes progress independently, and the merge heap always drains
-//! the stream whose head record is globally earliest — no producer waits on
-//! another producer, and the consumer never waits on a stream that is not
-//! being produced.
+//! This module holds what the engine reports ([`StreamAnalysis`],
+//! [`SourceOutcome`]) and the report renderer the CLI prints.
 //!
 //! Fault isolation: one bad capture — unreadable, wrong link type, or even
 //! a decoder panic — degrades into that source's [`SourceOutcome::error`]
-//! while its siblings analyze to completion. Nothing in this pipeline can
-//! take the process down with it, which is what lets the resident
-//! [`crate::serve`] mode reuse the same building blocks.
+//! while its siblings analyze to completion.
 
-use crate::trace::{CaptureError, CaptureStream};
-use congestion::merge::MergeStream;
-use congestion::persec::{SecondAccumulator, SecondStats};
+use crate::serve::{ingest, ServeConfig};
+use crate::trace::CaptureError;
+use congestion::persec::SecondStats;
 use congestion::{CongestionClassifier, CongestionLevel, UtilizationBins};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use wifi_frames::record::FrameRecord;
 use wifi_pcap::IngestReport;
-use wifi_sim::runner::run_parallel;
-use wifi_sim::spsc::{batch_channel, BatchReceiver, BatchSender};
 
 /// Records per cross-thread batch: large enough that the channel mutex is
 /// cold (one lock per 256 records), small enough to stay cache-resident.
@@ -118,56 +112,6 @@ impl StreamAnalysis {
     }
 }
 
-/// Decodes one capture into `tx`, delivering records in batches. Total:
-/// panics (including injected ones) and hard errors degrade into the
-/// returned [`SourceOutcome`] instead of crossing thread boundaries.
-fn decode_source(path: &Path, mut tx: BatchSender<FrameRecord>) -> SourceOutcome {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        panic_if_injected(path);
-        let mut stream = match CaptureStream::open(path) {
-            Ok(s) => s,
-            Err(e) => {
-                return SourceOutcome {
-                    report: IngestReport::default(),
-                    error: Some(e),
-                }
-            }
-        };
-        // Counters snapshotted only at delivered-batch boundaries
-        // (`BatchSender::push` can fail only when a batch ships), so an
-        // early consumer termination reports exactly the records the
-        // consumer could observe — never the ones discarded with the
-        // undeliverable batch.
-        let mut delivered = stream.report();
-        while let Some(record) = stream.next() {
-            if tx.push(record).is_err() {
-                return SourceOutcome {
-                    report: delivered,
-                    error: None,
-                };
-            }
-            if tx.is_empty() {
-                delivered = stream.report();
-            }
-        }
-        let (report, error) = stream.into_outcome();
-        match tx.flush() {
-            Ok(()) => SourceOutcome { report, error },
-            Err(_) => SourceOutcome {
-                report: delivered,
-                error,
-            },
-        }
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => SourceOutcome {
-            report: IngestReport::default(),
-            error: Some(CaptureError::Panicked(panic_message(payload))),
-        },
-    }
-}
-
 /// Streams `paths` (per-sniffer captures of one channel) through parallel
 /// lossy decoding, the online k-way merge, and the per-second accumulator.
 ///
@@ -180,70 +124,21 @@ fn decode_source(path: &Path, mut tx: BatchSender<FrameRecord>) -> SourceOutcome
 /// it decoded before failing and carries the error in its
 /// [`SourceOutcome`]; sibling sources and the merged analysis complete
 /// normally.
+///
+/// This is the [`crate::serve`] engine run without following: no skew
+/// horizon, no stall timeout, no heartbeat, and every EOF final.
 pub fn analyze_capture_streams(paths: &[PathBuf]) -> Result<StreamAnalysis, CaptureError> {
-    let mut senders = Vec::with_capacity(paths.len());
-    let mut receivers: Vec<BatchReceiver<FrameRecord>> = Vec::with_capacity(paths.len());
-    for _ in paths {
-        let (tx, rx) = batch_channel(CHANNEL_BATCHES, BATCH_LEN);
-        senders.push(Mutex::new(Some(tx)));
-        receivers.push(rx);
-    }
-    let items: Vec<(PathBuf, Mutex<Option<BatchSender<FrameRecord>>>)> =
-        paths.iter().cloned().zip(senders).collect();
-
-    let (merged_records, contributed, per_second, sources) = std::thread::scope(|scope| {
-        // One decode thread per file; `run_parallel` itself blocks, so it
-        // runs on a scoped helper thread while this thread consumes.
-        let decoder = scope.spawn(|| {
-            run_parallel(&items, items.len(), |item| {
-                let (path, slot) = item;
-                let tx = slot
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .expect("run_parallel hands each item to exactly one worker");
-                decode_source(path, tx)
-            })
-        });
-        let mut acc = SecondAccumulator::new();
-        let mut merge = MergeStream::new(receivers);
-        let mut merged_records = 0u64;
-        for record in &mut merge {
-            merged_records += 1;
-            acc.push(record);
-        }
-        // Worker panics are caught inside `decode_source`; a join error here
-        // means the dispatch infrastructure itself died, which no single
-        // source should be able to cause — degrade every source rather than
-        // poison the caller.
-        let sources = decoder.join().unwrap_or_else(|payload| {
-            let msg = panic_message(payload);
-            items
-                .iter()
-                .map(|_| SourceOutcome {
-                    report: IngestReport::default(),
-                    error: Some(CaptureError::Panicked(msg.clone())),
-                })
-                .collect()
-        });
-        (
-            merged_records,
-            merge.contributed().to_vec(),
-            acc.finish(),
-            sources,
-        )
-    });
-
-    Ok(StreamAnalysis {
-        per_second,
-        sources,
-        merged_records,
-        contributed,
-    })
+    let cfg = ServeConfig {
+        skew_horizon_us: None,
+        stall_timeout_ms: None,
+        heartbeat_s: 0,
+        ..ServeConfig::new(paths.to_vec())
+    };
+    ingest(&cfg, false)
 }
 
 /// Renders the per-second analysis summary exactly as `wifi-congestion
-/// analyze` prints it. Shared by the batch CLI and the serve final report so
+/// analyze` prints it. Shared by `analyze` and the serve final report so
 /// the two outputs are byte-comparable.
 pub fn render_analysis(stats: &[SecondStats], frames: u64) -> String {
     use std::fmt::Write;
@@ -312,7 +207,9 @@ mod tests {
     use super::*;
     use crate::trace::{read_capture_lossy, write_capture};
     use wifi_frames::phy::{Channel, Rate};
+    use wifi_frames::record::FrameRecord;
     use wifi_frames::{FrameKind, MacAddr};
+    use wifi_sim::spsc::batch_channel;
 
     fn rec(ts: u64, src: u32, seq: u16) -> FrameRecord {
         FrameRecord {
@@ -465,7 +362,7 @@ mod tests {
 
     #[test]
     fn early_consumer_termination_reports_only_delivered_records() {
-        // Drive decode_source by hand against a receiver that disconnects
+        // Drive one source pump by hand against a receiver that disconnects
         // after one batch: the outcome's counters must match a delivered
         // batch boundary, not the whole file.
         let records: Vec<FrameRecord> = (0..2000u64)
@@ -475,7 +372,7 @@ mod tests {
         let (tx, mut rx) = batch_channel::<FrameRecord>(1, BATCH_LEN);
         let worker = std::thread::spawn({
             let path = paths[0].clone();
-            move || decode_source(&path, tx)
+            move || crate::serve::pump_file(&path, tx)
         });
         // Take exactly one batch, then drop the receiver.
         let mut taken = 0usize;

@@ -1,11 +1,18 @@
-//! `wifi-congestion serve` — a resident multi-sniffer ingestion service.
+//! `wifi-congestion serve` — a resident multi-sniffer ingestion service,
+//! and the one ingest engine of the crate.
 //!
 //! Tails N live (growing, possibly rotating) pcap/pcapng capture files,
 //! decodes each on its own thread, merges the streams online with the same
-//! dedup window as the batch path, and classifies channel congestion per
-//! second as the data arrives — all in O(merge window) memory. Operational
-//! state is exposed as JSON over a unix socket and as a periodic stderr
-//! heartbeat.
+//! dedup window as [`congestion::merge_traces`], and classifies channel
+//! congestion per second as the data arrives — all in O(merge window)
+//! memory. Operational state is exposed as JSON over a unix socket and as a
+//! periodic stderr heartbeat.
+//!
+//! `wifi-congestion analyze` runs the same engine
+//! ([`crate::ingest::analyze_capture_streams`]) with the stop flag raised
+//! before any source starts. A stopped source's EOF is final, so each file
+//! is read once to its end and never polled for growth: analyze is serve
+//! over sources that end at EOF.
 //!
 //! ## Threading
 //!
@@ -22,7 +29,10 @@
 //! the partial batch and sleeps one poll interval, so records reach the
 //! merge with at most one poll interval of added latency. The merge loop
 //! drains the channels into an [`OnlineMerge`] and feeds emitted records to
-//! the per-second accumulator.
+//! the per-second accumulator. When the merge needs a record from a source
+//! whose channel is empty, the loop waits on that channel, bounded by the
+//! poll interval, and wakes as soon as the source ships a batch; it sleeps
+//! only when every open source is deferred and there is nothing to wait on.
 //!
 //! ## Degradation, not death
 //!
@@ -67,7 +77,8 @@ pub struct ServeConfig {
     pub paths: Vec<PathBuf>,
     /// Unix socket path for the status endpoint; `None` disables it.
     pub socket: Option<PathBuf>,
-    /// Poll interval for source growth and merge idling, milliseconds.
+    /// Poll interval for source growth, and the bound on each merge wait,
+    /// milliseconds.
     pub poll_ms: u64,
     /// Skew horizon in trace µs: the merge advances past a source whose
     /// newest record is this far behind the merge candidate. `None` never
@@ -185,6 +196,20 @@ struct Shared {
     final_seconds: Mutex<Vec<SecondStats>>,
 }
 
+impl Shared {
+    /// State for one run over `paths`. A run that does not follow its
+    /// sources starts with the stop flag already raised.
+    fn new(paths: &[PathBuf], follow: bool) -> Shared {
+        Shared {
+            stop: AtomicBool::new(!follow),
+            done: AtomicBool::new(false),
+            sources: paths.iter().map(|p| SourceShared::new(p)).collect(),
+            status_json: Mutex::new("{}".to_string()),
+            final_seconds: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 /// A poll-based `Read` over a live capture file.
 ///
 /// Reads return `WouldBlock` (never `Ok(0)`) while the file has no new
@@ -192,7 +217,8 @@ struct Shared {
 /// ended. At EOF the path is re-checked: a changed inode or a size below
 /// the consumed offset means the file was rotated, and the tail reopens
 /// from the start of the replacement. Only after a stop request does EOF
-/// become a real end-of-stream.
+/// become a real end-of-stream, and a file that still cannot be opened
+/// then fails with its open error.
 struct TailSource {
     shared: Arc<Shared>,
     idx: usize,
@@ -246,13 +272,16 @@ impl TailSource {
 
 impl Read for TailSource {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.file.is_none() && self.open_current().is_err() {
-            // Not there yet: pending until it appears, EOF once stopping.
-            return if self.stopping() {
-                Ok(0)
-            } else {
-                Err(Self::would_block())
-            };
+        if self.file.is_none() {
+            if let Err(e) = self.open_current() {
+                // Not there yet: pending until it appears; once stopping,
+                // the open error is final.
+                return Err(if self.stopping() {
+                    e
+                } else {
+                    Self::would_block()
+                });
+            }
         }
         let n = self.file.as_mut().expect("opened above").read(buf)?;
         if n > 0 {
@@ -361,6 +390,17 @@ fn serve_source(
         None => src.set_state(SourceState::Done),
     }
     outcome
+}
+
+/// Hands one non-blocking receive from source `idx` to the merge; false
+/// when the channel was empty.
+fn feed(core: &mut OnlineMerge, idx: usize, got: TryRecv<FrameRecord>) -> bool {
+    match got {
+        TryRecv::Item(r) => core.offer(idx, r),
+        TryRecv::Empty => return false,
+        TryRecv::Disconnected => core.end(idx),
+    }
+    true
 }
 
 fn json_escape(s: &str) -> String {
@@ -533,17 +573,18 @@ fn handle_client(mut stream: UnixStream, shared: &Shared) {
 
 /// Runs the resident ingestion service until a stop request (socket
 /// `shutdown` or [`ServeConfig::max_duration_s`]) drains it, then returns
-/// the same [`StreamAnalysis`] a batch run over the final bytes would
-/// produce.
+/// the same [`StreamAnalysis`] a run over the final bytes would produce.
 pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
+    ingest(cfg, true)
+}
+
+/// The one ingest engine, behind both [`run_serve`] and
+/// [`crate::ingest::analyze_capture_streams`]. With `follow` false the stop
+/// flag is raised before any source starts, so each source's EOF is final
+/// and the run ends once every source has been read to its end.
+pub(crate) fn ingest(cfg: &ServeConfig, follow: bool) -> Result<StreamAnalysis, CaptureError> {
     let n = cfg.paths.len();
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        sources: cfg.paths.iter().map(|p| SourceShared::new(p)).collect(),
-        status_json: Mutex::new("{}".to_string()),
-        final_seconds: Mutex::new(Vec::new()),
-    });
+    let shared = Arc::new(Shared::new(&cfg.paths, follow));
     let listener = match &cfg.socket {
         Some(path) => {
             // A stale socket file from a previous run refuses the bind.
@@ -589,89 +630,74 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
         let mut last_heartbeat = Instant::now();
         let stall = cfg.stall_timeout_ms.map(Duration::from_millis);
         let mut last_progress = vec![Instant::now(); n];
-        let mut ended = vec![false; n];
         loop {
             let mut progressed = false;
+            // The source the merge is blocked on, if any.
+            let mut blocked_on = None;
             // Deferred (stalled-out) sources rejoin as soon as they produce;
             // the merge never returns Need for them, so drain them here.
             for idx in 0..n {
-                if !core.is_deferred(idx) {
-                    continue;
-                }
-                match receivers[idx].try_next() {
-                    TryRecv::Item(r) => {
-                        core.offer(idx, r);
-                        last_progress[idx] = Instant::now();
-                        progressed = true;
-                    }
-                    TryRecv::Empty => {}
-                    TryRecv::Disconnected => {
-                        core.end(idx);
-                        ended[idx] = true;
-                        progressed = true;
-                    }
+                if core.is_deferred(idx) && feed(&mut core, idx, receivers[idx].try_next()) {
+                    last_progress[idx] = Instant::now();
+                    progressed = true;
                 }
             }
-            let mut all_done = false;
-            loop {
+            let all_done = loop {
                 match core.poll(horizon) {
                     MergePoll::Record(r) => {
                         merged += 1;
                         acc.push(r);
                         progressed = true;
                     }
-                    MergePoll::Need(idx) => match receivers[idx].try_next() {
-                        TryRecv::Item(r) => {
-                            core.offer(idx, r);
-                            last_progress[idx] = Instant::now();
-                            progressed = true;
-                        }
-                        TryRecv::Empty => {
-                            // Nothing buffered: wall-clock stall policy. A
-                            // source quiet past the timeout stops blocking
-                            // the merge (trace-time horizons cannot unwedge
-                            // a source stalled at the merge frontier).
-                            let timed_out =
-                                stall.is_some_and(|t| last_progress[idx].elapsed() >= t);
-                            if timed_out && core.defer(idx) {
-                                continue;
+                    MergePoll::Need(idx) => {
+                        if feed(&mut core, idx, receivers[idx].try_next()) {
+                            // Only the stall policy reads the clock; a run
+                            // without one skips the per-record timestamp.
+                            if stall.is_some() {
+                                last_progress[idx] = Instant::now();
                             }
-                            break;
-                        }
-                        TryRecv::Disconnected => {
-                            core.end(idx);
-                            ended[idx] = true;
                             progressed = true;
+                            continue;
                         }
-                    },
-                    MergePoll::Done => {
-                        // Final only when every source has truly ended;
-                        // otherwise deferred sources may still rejoin.
-                        all_done = ended.iter().all(|&e| e);
-                        break;
+                        // Nothing buffered: wall-clock stall policy. A source
+                        // quiet past the timeout stops blocking the merge
+                        // (trace-time horizons cannot unwedge a source
+                        // stalled at the merge frontier).
+                        let timed_out = stall.is_some_and(|t| last_progress[idx].elapsed() >= t);
+                        if !(timed_out && core.defer(idx)) {
+                            blocked_on = Some(idx);
+                            break false;
+                        }
                     }
+                    // At Done every open source is deferred; the run is
+                    // final only when none is, since deferred ones may
+                    // still rejoin.
+                    MergePoll::Done => break (0..n).all(|idx| !core.is_deferred(idx)),
                 }
-            }
+            };
 
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     shared.stop.store(true, Ordering::Release);
                 }
             }
+            // Publish newly finalized seconds (all folded seconds except
+            // the newest, which later records can still extend) as soon as
+            // they finalize: the loop turns on batch arrivals, not on a
+            // fixed tick, so tying this to the status refresh would delay
+            // each second by a varying part of the interval.
+            let folded = acc.seconds();
+            let finalized = folded.len().saturating_sub(1);
+            if finalized > published_seconds {
+                let mut out = shared
+                    .final_seconds
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner());
+                out.extend_from_slice(&folded[published_seconds..finalized]);
+                published_seconds = finalized;
+            }
             if all_done || last_status.elapsed() >= STATUS_INTERVAL {
                 last_status = Instant::now();
-                // Publish newly finalized seconds (all folded seconds except
-                // the newest, which later records can still extend).
-                let folded = acc.seconds();
-                let finalized = folded.len().saturating_sub(1);
-                if finalized > published_seconds {
-                    let mut out = shared
-                        .final_seconds
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner());
-                    out.extend_from_slice(&folded[published_seconds..finalized]);
-                    published_seconds = finalized;
-                }
                 let last = folded.len().checked_sub(2).map(|i| &folded[i]);
                 let classified = last.map(|s| {
                     let bins = UtilizationBins::build(&folded[..finalized]);
@@ -707,7 +733,12 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
                 break;
             }
             if !progressed {
-                std::thread::sleep(poll);
+                match blocked_on {
+                    // Wake as soon as the source the merge needs delivers.
+                    Some(idx) => receivers[idx].wait(poll),
+                    // Every open source is deferred: nothing to wait on.
+                    None => std::thread::sleep(poll),
+                }
             }
         }
 
@@ -742,6 +773,14 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
         let _ = std::fs::remove_file(path);
     }
     Ok(analysis)
+}
+
+/// Pumps one capture file through [`serve_source`] into `tx`, with the stop
+/// flag raised as in a non-following [`ingest`] run.
+#[cfg(test)]
+pub(crate) fn pump_file(path: &Path, tx: BatchSender<FrameRecord>) -> SourceOutcome {
+    let shared = Arc::new(Shared::new(&[path.to_path_buf()], false));
+    serve_source(&shared, 0, tx, Duration::from_millis(1))
 }
 
 #[cfg(test)]
@@ -780,13 +819,7 @@ mod tests {
     fn tail_source_blocks_then_reads_then_detects_rotation() {
         let dir = temp_dir("tail");
         let path = dir.join("live.pcap");
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            sources: vec![SourceShared::new(&path)],
-            status_json: Mutex::new(String::new()),
-            final_seconds: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(std::slice::from_ref(&path), true));
         let mut tail = TailSource::new(Arc::clone(&shared), 0);
         let mut buf = [0u8; 64];
 
@@ -816,6 +849,33 @@ mod tests {
     }
 
     #[test]
+    fn tail_source_fails_with_the_open_error_once_stopping() {
+        let dir = temp_dir("tail_missing");
+        let path = dir.join("never_written.pcap");
+        let shared = Arc::new(Shared::new(std::slice::from_ref(&path), true));
+        let mut tail = TailSource::new(Arc::clone(&shared), 0);
+        let mut buf = [0u8; 64];
+        // Following: a missing file is pending, not an error.
+        assert_eq!(
+            tail.read(&mut buf).unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock
+        );
+        // Stopping: the open error is final, so a missing file surfaces as
+        // NotFound rather than as an empty (truncated) capture.
+        shared.stop.store(true, Ordering::Release);
+        assert_eq!(
+            tail.read(&mut buf).unwrap_err().kind(),
+            std::io::ErrorKind::NotFound
+        );
+        match CaptureStream::from_reader(tail) {
+            Err(CaptureError::Pcap(wifi_pcap::PcapError::Io(e))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
+            }
+            other => panic!("expected the open error, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
     fn serve_on_static_files_matches_batch_analysis() {
         let dir = temp_dir("static");
         let full: Vec<FrameRecord> = (0..1500u64)
@@ -841,23 +901,26 @@ mod tests {
         let served = run_serve(&cfg).unwrap();
         assert!(served.sources.iter().all(|s| s.is_clean()));
 
-        let batch = crate::ingest::analyze_capture_streams(&paths).unwrap();
-        assert_eq!(served.merged_records, batch.merged_records);
-        assert_eq!(served.per_second, batch.per_second);
-        assert_eq!(served.contributed, batch.contributed);
+        // Materializing oracle: lossy-read each file, merge, analyze.
+        let traces: Vec<Vec<FrameRecord>> = paths
+            .iter()
+            .map(|p| crate::trace::read_capture_lossy(p).unwrap().records)
+            .collect();
+        let views: Vec<&[FrameRecord]> = traces.iter().map(Vec::as_slice).collect();
+        let merged = congestion::merge_traces(&views);
+        assert_eq!(served.merged_records as usize, merged.len());
+        assert_eq!(served.per_second, congestion::analyze(&merged));
+        assert_eq!(
+            served.contributed,
+            congestion::merge::coverage_gain(&views).contributed
+        );
     }
 
     #[test]
     fn status_json_is_wellformed_enough() {
         // Smoke the renderers directly: no commas-in-wrong-places panics,
         // balanced braces, expected keys.
-        let shared = Shared {
-            stop: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            sources: vec![SourceShared::new(Path::new("/tmp/a \"quoted\".pcap"))],
-            status_json: Mutex::new(String::new()),
-            final_seconds: Mutex::new(Vec::new()),
-        };
+        let shared = Shared::new(&[PathBuf::from("/tmp/a \"quoted\".pcap")], true);
         let core = OnlineMerge::new(1);
         let status = render_status(
             &shared,

@@ -12,10 +12,9 @@ use std::path::Path;
 use wifi_frames::radiotap::{self, CaptureMeta, FLAG_FCS_AT_END};
 use wifi_frames::record::FrameRecord;
 use wifi_frames::wire;
-use wifi_pcap::pcapng::PcapNgReader;
 use wifi_pcap::{
-    is_pcapng, IngestReport, LinkType, LossyPcapNgStream, LossyPcapStream, PcapError, PcapReader,
-    PcapWriter, Polled,
+    is_pcapng, IngestReport, LinkType, LossyPcapNgStream, LossyPcapStream, PcapError, PcapWriter,
+    Polled,
 };
 
 /// The snap length the study used.
@@ -26,8 +25,9 @@ pub const STUDY_SNAPLEN: u32 = 250;
 pub enum CaptureError {
     /// Underlying pcap problem.
     Pcap(PcapError),
-    /// A record's radiotap header was undecodable.
-    Radiotap(radiotap::RadiotapError),
+    /// A zero-tolerance read ([`read_capture`]) met damage: the report
+    /// shows what a lossy read would have skipped or recovered.
+    Damaged(IngestReport),
     /// The file's link type is not radiotap.
     WrongLinkType(LinkType),
     /// The decoder driving this source panicked; the payload is the panic
@@ -39,7 +39,7 @@ impl std::fmt::Display for CaptureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CaptureError::Pcap(e) => write!(f, "pcap error: {e}"),
-            CaptureError::Radiotap(e) => write!(f, "radiotap error: {e}"),
+            CaptureError::Damaged(report) => write!(f, "damaged capture: {}", report.to_json()),
             CaptureError::WrongLinkType(lt) => {
                 write!(f, "expected radiotap link type, found {lt:?}")
             }
@@ -94,19 +94,8 @@ impl CaptureWriter {
 
     /// Serializes and appends one record.
     pub fn write_record(&mut self, r: &FrameRecord) -> Result<(), CaptureError> {
-        let meta = CaptureMeta {
-            tsft_us: r.timestamp_us,
-            flags: FLAG_FCS_AT_END,
-            rate: r.rate,
-            channel: r.channel,
-            signal_dbm: r.signal_dbm,
-            noise_dbm: -95,
-            antenna: 0,
-        };
-        let frame = record_to_frame(r);
-        let bytes = wire::encode(&frame);
-        let packet = radiotap::encode_packet(&meta, &bytes);
-        self.writer.write_packet(r.timestamp_us, &packet)?;
+        self.writer
+            .write_packet(r.timestamp_us, &record_packet(r))?;
         Ok(())
     }
 
@@ -147,44 +136,25 @@ fn peek_magic<R: Read>(mut reader: R) -> io::Result<(Vec<u8>, Replayed<R>)> {
 /// truncation via header-only parsing plus the original-length field, just
 /// as an analysis of the study's real traces must.
 ///
-/// Streams the file through the zero-copy reader paths in fixed memory —
-/// only the records, never the file, are materialized.
+/// Zero tolerance: this is [`CaptureStream`] with every skip turned into an
+/// error. Any container damage (a resync, a skipped block or byte, a
+/// truncated tail) or an undecodable radiotap header fails the read with
+/// [`CaptureError::Damaged`]; [`read_capture_lossy`] keeps what survives
+/// instead. Records whose 802.11 header does not parse are skipped, as a
+/// real analysis must. Streams in fixed memory — only the records are
+/// materialized.
 pub fn read_capture(path: &Path) -> Result<Vec<FrameRecord>, CaptureError> {
-    let file = std::fs::File::open(path).map_err(PcapError::Io)?;
-    let (magic, source) = peek_magic(io::BufReader::new(file)).map_err(PcapError::Io)?;
-    let mut out = Vec::new();
-    let mut push_record = |data: &[u8], orig_len: u32| -> Result<(), CaptureError> {
-        let (meta, frame_bytes) = radiotap::parse_packet(data).map_err(CaptureError::Radiotap)?;
-        // The radiotap header is never truncated (25 bytes < any snaplen we
-        // use); the frame behind it may be. A crafted capture can still
-        // claim an original length smaller than the header it carries, so
-        // saturate rather than wrap the subtraction.
-        let radiotap_len = data.len() - frame_bytes.len();
-        let frame_orig_len = orig_len.saturating_sub(radiotap_len as u32);
-        if let Ok(header) = wire::parse_header(frame_bytes) {
-            out.push(FrameRecord::from_header(&header, frame_orig_len, &meta));
-        }
-        // Mangled frames are skipped, as a real analysis must.
-        Ok(())
+    let mut stream = CaptureStream::open(path)?;
+    let records: Vec<FrameRecord> = stream.by_ref().collect();
+    let report = stream.finish()?;
+    let damage = IngestReport {
+        undecodable_frames: 0,
+        ..report
     };
-    if is_pcapng(&magic) {
-        let mut reader = PcapNgReader::new(source);
-        while let Some(pkt) = reader.next_packet_ref()? {
-            if pkt.link != LinkType::Radiotap {
-                return Err(CaptureError::WrongLinkType(pkt.link));
-            }
-            push_record(pkt.data, pkt.orig_len)?;
-        }
-    } else {
-        let mut reader = PcapReader::new(source)?;
-        if reader.link_type() != LinkType::Radiotap {
-            return Err(CaptureError::WrongLinkType(reader.link_type()));
-        }
-        while let Some(pkt) = reader.next_packet_ref()? {
-            push_record(pkt.data, pkt.orig_len)?;
-        }
+    if !damage.is_clean() {
+        return Err(CaptureError::Damaged(report));
     }
-    Ok(out)
+    Ok(records)
 }
 
 /// A lossy capture ingestion: whatever records survived decoding, plus a
@@ -412,6 +382,20 @@ impl<R: Read> Iterator for CaptureStream<R> {
     }
 }
 
+/// One record as a captured packet: radiotap header plus 802.11 wire bytes.
+fn record_packet(r: &FrameRecord) -> Vec<u8> {
+    let meta = CaptureMeta {
+        tsft_us: r.timestamp_us,
+        flags: FLAG_FCS_AT_END,
+        rate: r.rate,
+        channel: r.channel,
+        signal_dbm: r.signal_dbm,
+        noise_dbm: -95,
+        antenna: 0,
+    };
+    radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(r)))
+}
+
 /// Reconstructs a full frame from a record for serialization. Payload
 /// contents are zero-filled; every header field round-trips.
 fn record_to_frame(r: &FrameRecord) -> wifi_frames::Frame {
@@ -493,6 +477,51 @@ mod tests {
     use wifi_frames::phy::{Channel, Rate};
     use wifi_frames::FrameKind;
     use wifi_frames::MacAddr;
+    use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
+    use wifi_pcap::pcapng::{PcapNgReader, PcapNgWriter};
+    use wifi_pcap::PcapReader;
+
+    /// The strict-reader decode `read_capture` had before it ran on
+    /// [`CaptureStream`], kept as its oracle: the first container error or
+    /// undecodable radiotap header fails the read; undecodable 802.11
+    /// headers are skipped.
+    fn read_capture_strict(path: &Path) -> Result<Vec<FrameRecord>, CaptureError> {
+        let file = std::fs::File::open(path).map_err(PcapError::Io)?;
+        let (magic, source) = peek_magic(io::BufReader::new(file)).map_err(PcapError::Io)?;
+        let mut out = Vec::new();
+        let mut push_record = |data: &[u8], orig_len: u32| -> Result<(), CaptureError> {
+            let (meta, frame_bytes) = radiotap::parse_packet(data).map_err(|_| {
+                CaptureError::Damaged(IngestReport {
+                    undecodable_radiotap: 1,
+                    ..IngestReport::default()
+                })
+            })?;
+            let radiotap_len = data.len() - frame_bytes.len();
+            let frame_orig_len = orig_len.saturating_sub(radiotap_len as u32);
+            if let Ok(header) = wire::parse_header(frame_bytes) {
+                out.push(FrameRecord::from_header(&header, frame_orig_len, &meta));
+            }
+            Ok(())
+        };
+        if is_pcapng(&magic) {
+            let mut reader = PcapNgReader::new(source);
+            while let Some(pkt) = reader.next_packet_ref()? {
+                if pkt.link != LinkType::Radiotap {
+                    return Err(CaptureError::WrongLinkType(pkt.link));
+                }
+                push_record(pkt.data, pkt.orig_len)?;
+            }
+        } else {
+            let mut reader = PcapReader::new(source)?;
+            if reader.link_type() != LinkType::Radiotap {
+                return Err(CaptureError::WrongLinkType(reader.link_type()));
+            }
+            while let Some(pkt) = reader.next_packet_ref()? {
+                push_record(pkt.data, pkt.orig_len)?;
+            }
+        }
+        Ok(out)
+    }
 
     fn sample_records() -> Vec<FrameRecord> {
         let mk = |ts: u64, kind, src: Option<u32>, dst: u32, payload: u32, rate| FrameRecord {
@@ -588,7 +617,7 @@ mod tests {
         let path = dir.join("clean.pcap");
         let records = sample_records();
         write_capture(&path, &records).unwrap();
-        let strict = read_capture(&path).unwrap();
+        let strict = read_capture_strict(&path).unwrap();
         let lossy = read_capture_lossy(&path).unwrap();
         assert_eq!(lossy.records, strict);
         assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
@@ -636,17 +665,7 @@ mod tests {
         // enforce `orig_len >= caplen`), but the decode layer must not rely
         // on that: the old strict-path formula `orig_len - radiotap_len`
         // would debug-panic / release-wrap here.
-        let records = sample_records();
-        let meta = CaptureMeta {
-            tsft_us: records[0].timestamp_us,
-            flags: FLAG_FCS_AT_END,
-            rate: records[0].rate,
-            channel: records[0].channel,
-            signal_dbm: records[0].signal_dbm,
-            noise_dbm: -95,
-            antenna: 0,
-        };
-        let packet = radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(&records[0])));
+        let packet = record_packet(&sample_records()[0]);
         let mut report = IngestReport::default();
         let rec = decode_packet(&packet, 3, &mut report).expect("frame itself is decodable");
         assert_eq!(rec.mac_bytes, 0, "claimed length saturates to zero");
@@ -685,5 +704,70 @@ mod tests {
             read_capture(&path),
             Err(CaptureError::WrongLinkType(LinkType::Ethernet))
         ));
+    }
+
+    #[test]
+    fn read_capture_agrees_with_strict_oracle_under_chaos() {
+        // Both containers, chaos-corrupted: the zero-tolerance stream read
+        // is Ok exactly when the strict oracle is, with the same records.
+        let records: Vec<FrameRecord> = (0..40u64)
+            .flat_map(|i| {
+                let mut recs = sample_records();
+                for r in &mut recs {
+                    r.timestamp_us += i * 5_000;
+                }
+                recs
+            })
+            .collect();
+        let packets: Vec<(u64, Vec<u8>)> = records
+            .iter()
+            .map(|r| (r.timestamp_us, record_packet(r)))
+            .collect();
+        let mut classic = Vec::new();
+        let mut w = PcapWriter::new(&mut classic, LinkType::Radiotap, STUDY_SNAPLEN).unwrap();
+        for (ts, p) in &packets {
+            w.write_packet(*ts, p).unwrap();
+        }
+        w.flush().unwrap();
+        let mut ng = Vec::new();
+        let mut w = PcapNgWriter::new(&mut ng, LinkType::Radiotap, STUDY_SNAPLEN).unwrap();
+        for (ts, p) in &packets {
+            w.write_packet(*ts, p).unwrap();
+        }
+        w.flush().unwrap();
+
+        let dir = std::env::temp_dir().join("congestion_trace_test_chaos_oracle");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chaos.cap");
+        let cfg = ChaosConfig {
+            bit_flips_per_kb: 0.5,
+            truncate: 0.2,
+            garbage_insert: 0.2,
+            length_blast: 0.2,
+        };
+        let (mut ok, mut err) = (0, 0);
+        for (tag, clean) in [("classic", &classic), ("pcapng", &ng)] {
+            for seed in 0..200u64 {
+                let mut bytes = clean.clone();
+                corrupt_bytes(&mut bytes, 0, &cfg, &mut ChaosRng::new(seed));
+                std::fs::write(&path, &bytes).unwrap();
+                match (read_capture(&path), read_capture_strict(&path)) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got, want, "{tag} seed {seed}");
+                        ok += 1;
+                    }
+                    (Err(_), Err(_)) => err += 1,
+                    (got, want) => panic!(
+                        "{tag} seed {seed}: read_capture {:?} but oracle {:?}",
+                        got.map(|r| r.len()),
+                        want.map(|r| r.len())
+                    ),
+                }
+            }
+        }
+        assert!(
+            ok >= 20 && err >= 20,
+            "both outcomes exercised: {ok} ok, {err} err"
+        );
     }
 }

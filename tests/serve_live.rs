@@ -1,10 +1,12 @@
 //! End-to-end tests of `wifi-congestion serve`: grow live capture files
 //! while the service tails them — including mid-test corruption and file
 //! rotation — drive the unix-socket status endpoint, and check the final
-//! analysis byte-matches the batch CLI over the same final bytes.
+//! report byte-matches the materializing oracle over the same final bytes:
+//! every file lossy-read whole, the traces merged, then analyzed.
 
-use ietf80211_congestion::ingest::PANIC_SOURCE_ENV;
-use ietf80211_congestion::trace::write_capture;
+use ietf80211_congestion::congestion::{analyze, merge_traces};
+use ietf80211_congestion::ingest::{render_analysis, PANIC_SOURCE_ENV};
+use ietf80211_congestion::trace::{read_capture_lossy, write_capture};
 use ietf80211_congestion::wifi_frames::phy::{Channel, Rate};
 use ietf80211_congestion::wifi_frames::{FrameKind, FrameRecord, MacAddr};
 use std::io::{Read, Write};
@@ -85,6 +87,18 @@ fn append(path: &Path, bytes: &[u8]) {
 
 fn byte_chunks(bytes: &[u8], n: usize) -> Vec<&[u8]> {
     bytes.chunks(bytes.len().div_ceil(n).max(1)).collect()
+}
+
+/// The report `analyze` prints, computed by the materializing oracle:
+/// `read_capture_lossy` per file, `merge_traces`, `analyze`.
+fn oracle_report(paths: &[&Path]) -> String {
+    let traces: Vec<Vec<FrameRecord>> = paths
+        .iter()
+        .map(|p| read_capture_lossy(p).expect("oracle read").records)
+        .collect();
+    let views: Vec<&[FrameRecord]> = traces.iter().map(Vec::as_slice).collect();
+    let merged = merge_traces(&views);
+    render_analysis(&analyze(&merged), merged.len() as u64)
 }
 
 /// One request/response round-trip against the serve status socket.
@@ -247,20 +261,10 @@ fn serve_matches_batch_under_growth_chaos_and_rotation() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let batch = bin()
-        .args([
-            "analyze",
-            ref0.to_str().unwrap(),
-            ref1.to_str().unwrap(),
-            ref2.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run analyze");
-    assert!(batch.status.success());
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&batch.stdout),
-        "serve final analysis must byte-match batch analysis of the same bytes"
+        oracle_report(&[&ref0, &ref1, &ref2]),
+        "serve final analysis must byte-match the oracle over the same bytes"
     );
     // The damaged source really was damaged (and only skip-counted).
     assert!(
@@ -384,14 +388,9 @@ fn serve_panicking_decoder_degrades_only_that_source() {
         "panic surfaced per-source: {stderr}"
     );
 
-    // The two healthy sources analyze exactly as a batch run over them.
-    let batch = bin()
-        .args(["analyze", p0.to_str().unwrap(), p2.to_str().unwrap()])
-        .output()
-        .expect("run analyze");
-    assert!(batch.status.success());
+    // The two healthy sources analyze exactly as the oracle over them.
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&batch.stdout)
+        oracle_report(&[&p0, &p2])
     );
 }
