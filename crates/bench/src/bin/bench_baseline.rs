@@ -1,4 +1,4 @@
-//! Pinned perf baselines: three scenarios, one append-only trajectory each.
+//! Pinned perf baselines: six scenarios, one append-only trajectory each.
 //!
 //! Each *pin* is a fixed scenario (seed, scale, duration are part of the
 //! contract) whose throughput is tracked across the life of the repository
@@ -27,32 +27,39 @@
 //!     --pin venue-5k --threads 8
 //! ```
 //!
-//! The serial pins use the pipelined sim→analysis path (event loop and
-//! per-second congestion analysis overlapped on two threads; results
-//! byte-identical to the serial path — `crates/bench/tests/golden.rs` pins
-//! that down). The venue pin runs `run_sharded`: one event loop per
-//! RF-isolation shard on a `--threads`-wide work queue, merged output again
-//! identical for every thread count. The plenary pin with `--max-shards > 1`
-//! also runs `run_sharded`: its three per-channel cells are three coupled
-//! components, so it runs as at most three shards, still byte-identical to
-//! the serial run. Sharded trajectory entries carry
+//! The serial pins run `run_streaming`, the chunk loop every simulated run
+//! goes through (per-second congestion analysis folded in after each
+//! chunk). The churn pin runs the same loop with the walkers moved on a
+//! tick hook (`run_streaming_mobile`). The venue pin runs `run_sharded`:
+//! that loop once per RF-isolation shard on a `--threads`-wide work queue,
+//! merged output identical for every thread count. The plenary pin with
+//! `--max-shards > 1` also runs `run_sharded`: its three per-channel cells
+//! are three coupled components, so it runs as at most three shards, still
+//! byte-identical to the serial run. Sharded trajectory entries carry
 //! `threads`/`shards`/`components`/`host_cpus` so scaling claims can be read
 //! against the hardware that produced them — an entry at `--threads 8` on a
 //! one-CPU host measures scheduling overhead, not speedup.
 //!
-//! `--check <file>` compares events/s against the last trajectory entry of
-//! a committed baseline that ran with the same shard count (no `shards`
-//! field means unsharded), so a serial run never gates against a sharded
-//! entry or the reverse. It exits non-zero on a >15 % drop — after
-//! verifying the entry's scenario fingerprint (seed/users/duration/event
-//! count), so a stale file can't silently gate against the wrong workload.
+//! Every pin runs [`REPEATS`] times in-process. All repeats must give the
+//! same event and frame counts (a determinism check on the spot); the entry
+//! records the median `wall_ms` with its min and max, and events/s is
+//! computed from the median, because single runs on a shared host spread
+//! wider than the gate.
+//!
+//! `--check <file>` compares that median events/s against the last
+//! trajectory entry of a committed baseline that ran with the same shard
+//! count (no `shards` field means unsharded), so a serial run never gates
+//! against a sharded entry or the reverse. It exits non-zero on a >15 %
+//! drop — after verifying the entry's scenario fingerprint
+//! (seed/users/duration/event count), so a stale file can't silently gate
+//! against the wrong workload.
 
 use congestion_bench::streaming::{
-    run_sharded, run_streaming_mobile, run_streaming_pipelined, MobilityStats, StreamedRun,
+    run_sharded, run_streaming, run_streaming_mobile, MobilityStats, StreamedRun,
 };
 use ietf_workloads::{
     ietf_plenary, ietf_plenary_sharded, load_ramp, mobile_venue, venue_campus, CampusScale,
-    ChurnScale, Scenario, SessionScale,
+    ChurnScale, SessionScale, ShardScenario,
 };
 
 /// The pinned scenarios: identity and scale are part of the baseline
@@ -156,76 +163,51 @@ impl Pin {
         }
     }
 
-    fn build(&self) -> Scenario {
-        let mut scenario = match self.name {
-            PinName::RampQuick | PinName::Ramp320 => {
-                load_ramp(self.seed, self.users, self.duration_s, 1.7)
-            }
-            PinName::Plenary523 => ietf_plenary(SessionScale {
-                seed: self.seed,
-                users: self.users,
-                duration_s: self.duration_s,
-                activity: 3.0,
-                rts_fraction: 0.02,
-            }),
-            PinName::Venue5k => unreachable!("venue-5k runs the sharded path"),
-            PinName::Churn => unreachable!("churn runs the mobile streaming path"),
-            PinName::TraceMerge3x => unreachable!("trace-merge-3x runs the ingest path"),
-        };
-        // Perf run: skip the ground-truth tape (it is O(frames) memory and
-        // no figure reads it here); the on-air counter still runs.
-        scenario.sim.config.record_ground_truth = false;
-        scenario
-    }
-
-    /// Runs the pin. The serial pins take the pipelined two-thread path;
-    /// venue-5k partitions into RF-isolation shards and runs them on a
-    /// `threads`-wide work queue; plenary-523 with `--max-shards > 1` takes
-    /// the sharded path too, one shard per coupled per-channel cell. Returns
-    /// the merged run plus `(shards, components)` for sharded runs.
+    /// Runs the pin. The serial pins take `run_streaming`; churn takes
+    /// `run_streaming_mobile`; venue-5k partitions into RF-isolation shards
+    /// and runs them on a `threads`-wide work queue; plenary-523 with
+    /// `--max-shards > 1` takes the sharded path too, one shard per coupled
+    /// per-channel cell. Returns the merged run plus `(shards, components)`
+    /// for sharded runs.
     fn run(
         &self,
         threads: usize,
         max_shards: usize,
     ) -> (StreamedRun, Option<(usize, usize)>, Option<MobilityStats>) {
+        let plenary = SessionScale {
+            seed: self.seed,
+            users: self.users,
+            duration_s: self.duration_s,
+            activity: 3.0,
+            rts_fraction: 0.02,
+        };
+        let sharded = |scenario: ShardScenario| {
+            let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
+            (
+                sharded.run,
+                Some((sharded.shards, sharded.components)),
+                None,
+            )
+        };
         match self.name {
-            PinName::Churn => {
-                let scale = ChurnScale::venue_default(self.seed);
-                debug_assert!(scale.users == self.users && scale.duration_s == self.duration_s);
-                let mut scenario = mobile_venue(scale);
-                scenario.sim.config.record_ground_truth = false;
-                let (run, mobility) = run_streaming_mobile(scenario, 1_000_000);
-                (run, None, Some(mobility))
+            PinName::RampQuick | PinName::Ramp320 => {
+                let scenario = load_ramp(self.seed, self.users, self.duration_s, 1.7);
+                (run_streaming(scenario, 1_000_000), None, None)
             }
+            PinName::Plenary523 if max_shards > 1 => sharded(ietf_plenary_sharded(plenary)),
+            PinName::Plenary523 => (run_streaming(ietf_plenary(plenary), 1_000_000), None, None),
             PinName::Venue5k => {
                 let scale = CampusScale::venue_5k(self.seed);
                 debug_assert!(scale.users == self.users && scale.duration_s == self.duration_s);
-                let mut scenario = venue_campus(scale);
-                scenario.spec.config_mut().record_ground_truth = false;
-                let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
-                (
-                    sharded.run,
-                    Some((sharded.shards, sharded.components)),
-                    None,
-                )
+                sharded(venue_campus(scale))
             }
-            PinName::Plenary523 if max_shards > 1 => {
-                let mut scenario = ietf_plenary_sharded(SessionScale {
-                    seed: self.seed,
-                    users: self.users,
-                    duration_s: self.duration_s,
-                    activity: 3.0,
-                    rts_fraction: 0.02,
-                });
-                scenario.spec.config_mut().record_ground_truth = false;
-                let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
-                (
-                    sharded.run,
-                    Some((sharded.shards, sharded.components)),
-                    None,
-                )
+            PinName::Churn => {
+                let scale = ChurnScale::venue_default(self.seed);
+                debug_assert!(scale.users == self.users && scale.duration_s == self.duration_s);
+                let (run, mobility) = run_streaming_mobile(mobile_venue(scale), 1_000_000);
+                (run, None, Some(mobility))
             }
-            _ => (run_streaming_pipelined(self.build(), 1_000_000), None, None),
+            PinName::TraceMerge3x => unreachable!("trace-merge-3x runs the ingest path"),
         }
     }
 }
@@ -274,14 +256,15 @@ fn main() {
                      the nine-AP floor), trace-merge-3x (three skewed lossy\n\
                      30s sniffer captures through the streaming ingest\n\
                      pipeline: parallel decode + k-way merge + analysis).\n\
-                     Runs the pinned scenario and appends one entry (tagged\n\
-                     --label, with optional free-form --notes) to the pin's\n\
-                     trajectory JSON (default\n\
-                     BENCH_sim[_quick|_plenary|_venue|_churn].json). --quick =\n\
+                     Runs the pinned scenario 5 times and appends one entry\n\
+                     (median wall time with min and max; tagged --label, with\n\
+                     optional free-form --notes) to the pin's trajectory JSON\n\
+                     (default BENCH_sim[_quick|_plenary|_venue|_churn].json,\n\
+                     BENCH_trace.json). --quick =\n\
                      --pin ramp-quick. --max-shards caps the partition; for\n\
                      plenary-523 a value > 1 takes the sharded path, one shard\n\
                      per coupled per-channel cell (results byte-identical to\n\
-                     the serial run). --check compares events/s against the\n\
+                     the serial run). --check compares median events/s with the\n\
                      last entry of a committed trajectory with the same shard\n\
                      count and exits 1 on a >15% regression."
                 );
@@ -311,33 +294,99 @@ fn main() {
         })
     });
 
-    if pin.name == PinName::TraceMerge3x {
-        run_trace_pin(
-            &pin,
-            &out,
-            check.as_deref(),
-            baseline.as_deref(),
-            &entry_label,
-            notes.as_deref(),
-        );
-        return;
+    let measured = if pin.name == PinName::TraceMerge3x {
+        run_trace_pin(&pin)
+    } else {
+        // Venue-5k defaults to "as many shards as the topology allows"; the
+        // serial pins default to the unsharded path.
+        let max_shards = max_shards.unwrap_or(match pin.name {
+            PinName::Venue5k => usize::MAX,
+            _ => 1,
+        });
+        run_sim_pin(&pin, threads, max_shards)
+    };
+    let wall = &measured.wall;
+    let events_per_sec = measured.events as f64 / (wall.median / 1e3).max(1e-9);
+    // Free-form context for the entry (what changed, measured side costs);
+    // `--check` only reads named numeric fields, so notes never gate.
+    let notes_field = notes
+        .map(|n| format!(", \"notes\": \"{}\"", n.replace(['"', '\\'], "_")))
+        .unwrap_or_default();
+    let entry = format!(
+        "    {{\"label\": \"{}\", \"pin\": \"{}\", \"seed\": {}, \"users\": {}, \
+         \"duration_s\": {}, \"events\": {}{}, \"wall_ms\": {:.1}, \"wall_ms_min\": {:.1}, \
+         \"wall_ms_max\": {:.1}, \"repeats\": {REPEATS}, \"events_per_sec\": {:.0}, \
+         \"peak_rss_kb\": {}{}{}}}",
+        entry_label.replace(['"', '\\'], "_"),
+        pin.label(),
+        pin.seed,
+        pin.users,
+        pin.duration_s,
+        measured.events,
+        measured.fields,
+        wall.median,
+        wall.min,
+        wall.max,
+        events_per_sec,
+        peak_rss_kb(),
+        measured.extra,
+        notes_field,
+    );
+    if let Err(e) = append_entry(&out, pin.label(), &entry) {
+        eprintln!("error: cannot write {out}: {e}");
+        std::process::exit(1);
     }
+    eprintln!(
+        "bench_baseline[{}]: {} in {:.1} ms (median of {REPEATS}, {:.1}-{:.1}) -> \
+         {events_per_sec:.0} events/s{} ({out})",
+        pin.label(),
+        measured.what,
+        wall.median,
+        wall.min,
+        wall.max,
+        measured.rates,
+    );
+    if let (Some(path), Some(baseline)) = (check, baseline) {
+        check_regression(
+            &baseline,
+            &path,
+            &[
+                ("seed", pin.seed as f64),
+                ("users", pin.users as f64),
+                ("duration_s", pin.duration_s as f64),
+                ("events", measured.events as f64),
+            ],
+            measured.shards,
+            events_per_sec,
+        );
+    }
+}
 
-    // Venue-5k defaults to "as many shards as the topology allows"; the
-    // serial pins default to the unsharded path.
-    let max_shards = max_shards.unwrap_or(match pin.name {
-        PinName::Venue5k => usize::MAX,
-        _ => 1,
-    });
+/// One pin's measurement, ready to become a trajectory entry.
+struct Measured {
+    /// The fingerprint count: simulated events, or decoded records.
+    events: u64,
+    wall: Wall,
+    /// Pin-specific entry fields between `events` and the wall times.
+    fields: String,
+    /// Pin-specific entry fields after `peak_rss_kb`.
+    extra: String,
+    /// What the summary line reports as done, and rates it adds after
+    /// events/s.
+    what: String,
+    rates: String,
+    /// Shards of a sharded run; `--check` gates against the same count.
+    shards: Option<usize>,
+}
 
-    let start = std::time::Instant::now();
-    let (run, sharding, mobility) = pin.run(threads, max_shards);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let events_per_sec = run.events_processed as f64 / (wall_ms / 1e3).max(1e-9);
-    let frames_per_sec = run.frames_on_air as f64 / (wall_ms / 1e3).max(1e-9);
+/// Times a simulator pin ([`Pin::run`]).
+fn run_sim_pin(pin: &Pin, threads: usize, max_shards: usize) -> Measured {
+    let ((run, sharding, mobility), wall) = timed_repeats(
+        || pin.run(threads, max_shards),
+        |(run, ..)| (run.events_processed, run.frames_on_air),
+    );
+    let frames_per_sec = run.frames_on_air as f64 / (wall.median / 1e3).max(1e-9);
     let seconds_analyzed: usize = run.per_sniffer_seconds.iter().map(|s| s.len()).sum();
-
     // Sharded entries record how the run was cut and what hardware ran it:
     // events/s at `threads` only means speedup when `host_cpus` can supply
     // that many workers.
@@ -362,73 +411,34 @@ fn main() {
             )
         })
         .unwrap_or_default();
-    // Free-form context for the entry (what changed, measured side costs);
-    // `--check` only reads named numeric fields, so notes never gate.
-    let notes_field = notes
-        .map(|n| format!(", \"notes\": \"{}\"", n.replace(['"', '\\'], "_")))
-        .unwrap_or_default();
-    let entry = format!(
-        "    {{\"label\": \"{}\", \"pin\": \"{}\", \"seed\": {}, \"users\": {}, \
-         \"duration_s\": {}, \"events\": {}, \"frames_on_air\": {}, \
-         \"seconds_analyzed\": {}, \"queue_pushed\": {}, \"queue_popped\": {}, \
-         \"queue_stale_dropped\": {}, \"queue_cascaded\": {}, \"wall_ms\": {:.1}, \
-         \"events_per_sec\": {:.0}, \"frames_per_sec\": {:.0}, \"peak_rss_kb\": {}{}{}{}}}",
-        entry_label.replace(['"', '\\'], "_"),
-        pin.label(),
-        pin.seed,
-        pin.users,
-        pin.duration_s,
-        run.events_processed,
-        run.frames_on_air,
-        seconds_analyzed,
-        run.queue.pushed,
-        run.queue.popped,
-        run.queue.stale_dropped,
-        run.queue.cascaded,
-        wall_ms,
-        events_per_sec,
-        frames_per_sec,
-        peak_rss_kb(),
-        sharding_fields,
-        mobility_fields,
-        notes_field,
-    );
-    if let Err(e) = append_entry(&out, pin.label(), &entry) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
     let sharding_note = sharding
         .map(|(shards, components)| {
             format!(" [{shards} shards / {components} components @ {threads} threads]")
         })
         .unwrap_or_default();
-    eprintln!(
-        "bench_baseline[{}]: {} events in {:.1} ms -> {:.0} events/s, {:.0} frames/s \
-         ({out}){sharding_note}",
-        pin.label(),
-        run.events_processed,
-        wall_ms,
-        events_per_sec,
-        frames_per_sec
-    );
-
-    if let Some(baseline) = baseline {
-        check_regression(
-            &baseline,
-            check.as_deref().unwrap_or(""),
-            &[
-                ("seed", pin.seed as f64),
-                ("users", pin.users as f64),
-                ("duration_s", pin.duration_s as f64),
-                ("events", run.events_processed as f64),
-            ],
-            sharding.map(|(shards, _)| shards),
-            events_per_sec,
-        );
+    Measured {
+        events: run.events_processed,
+        wall,
+        fields: format!(
+            ", \"frames_on_air\": {}, \"seconds_analyzed\": {}, \"queue_pushed\": {}, \
+             \"queue_popped\": {}, \"queue_stale_dropped\": {}, \"queue_cascaded\": {}",
+            run.frames_on_air,
+            seconds_analyzed,
+            run.queue.pushed,
+            run.queue.popped,
+            run.queue.stale_dropped,
+            run.queue.cascaded,
+        ),
+        extra: format!(
+            ", \"frames_per_sec\": {frames_per_sec:.0}{sharding_fields}{mobility_fields}"
+        ),
+        what: format!("{} events", run.events_processed),
+        rates: format!(", {frames_per_sec:.0} frames/s{sharding_note}"),
+        shards: sharding.map(|(shards, _)| shards),
     }
 }
 
-/// Gates this run's events/s against the last entry of a committed baseline
+/// Gates this pin's median events/s against the last entry of a committed baseline
 /// trajectory that ran with the same `shards` ([`gate_entry`]): the
 /// fingerprint fields must match exactly (a baseline from a different pinned
 /// workload — or a semantics-changing build — would make the throughput
@@ -485,21 +495,14 @@ fn check_regression(
 /// The trace-ingestion pin: generates the pinned sniffer captures — three
 /// skewed, 20 %-lossy views of one dense synthetic 30 s channel, written
 /// record-by-record so generation never materializes a trace and the timed
-/// phase dominates peak RSS — then times the streaming pipeline end to end:
-/// parallel per-sniffer decode, bounded channels, k-way online merge with
-/// dedup, per-second congestion analysis.
+/// phase dominates peak RSS — then times the streaming pipeline end to end
+/// ([`REPEATS`] runs): parallel per-sniffer decode, bounded channels, k-way
+/// online merge with dedup, per-second congestion analysis.
 ///
 /// `events` in the trajectory entry is the total records decoded across all
 /// sniffers (the fingerprint: generation is deterministic in the pin's
 /// seed), `events_per_sec` is the gated throughput.
-fn run_trace_pin(
-    pin: &Pin,
-    out: &str,
-    check: Option<&str>,
-    baseline: Option<&str>,
-    entry_label: &str,
-    notes: Option<&str>,
-) {
+fn run_trace_pin(pin: &Pin) -> Measured {
     use ietf80211_congestion::ingest::analyze_capture_streams;
     use ietf80211_congestion::trace::CaptureWriter;
     use wifi_frames::fc::FrameKind;
@@ -580,9 +583,13 @@ fn run_trace_pin(
         .map(|w| w.finish().expect("trace-pin flush failed"))
         .sum();
 
-    let start = std::time::Instant::now();
-    let analysis = analyze_capture_streams(&paths).expect("trace-pin ingestion failed");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (analysis, wall) = timed_repeats(
+        || analyze_capture_streams(&paths).expect("trace-pin ingestion failed"),
+        |a| {
+            let records = a.sources.iter().map(|s| s.report.records_total()).sum();
+            (records, a.merged_records)
+        },
+    );
     for p in &paths {
         let _ = std::fs::remove_file(p);
     }
@@ -598,55 +605,61 @@ fn run_trace_pin(
         events, written,
         "trace pin must decode every written record"
     );
-    let events_per_sec = events as f64 / (wall_ms / 1e3).max(1e-9);
+    Measured {
+        events,
+        wall,
+        fields: format!(
+            ", \"records_merged\": {}, \"seconds_analyzed\": {}",
+            analysis.merged_records,
+            analysis.per_second.len()
+        ),
+        extra: String::new(),
+        what: format!("{events} records ({} merged)", analysis.merged_records),
+        rates: String::new(),
+        shards: None,
+    }
+}
 
-    let notes_field = notes
-        .map(|n| format!(", \"notes\": \"{}\"", n.replace(['"', '\\'], "_")))
-        .unwrap_or_default();
-    let entry = format!(
-        "    {{\"label\": \"{}\", \"pin\": \"{}\", \"seed\": {}, \"users\": {}, \
-         \"duration_s\": {}, \"events\": {}, \"records_merged\": {}, \
-         \"seconds_analyzed\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
-         \"peak_rss_kb\": {}{}}}",
-        entry_label.replace(['"', '\\'], "_"),
-        pin.label(),
-        pin.seed,
-        pin.users,
-        pin.duration_s,
-        events,
-        analysis.merged_records,
-        analysis.per_second.len(),
-        wall_ms,
-        events_per_sec,
-        peak_rss_kb(),
-        notes_field,
-    );
-    if let Err(e) = append_entry(out, pin.label(), &entry) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
+/// Timed in-process runs per pin; `--check` gates on their median.
+const REPEATS: usize = 5;
+
+/// Wall-clock spread of a pin's [`REPEATS`] runs, in ms.
+struct Wall {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Times [`REPEATS`] runs of `run` and returns the last result with the
+/// wall-time spread. Every run must give the same `fingerprint`: a pin that
+/// does not reproduce itself in one process has no throughput to gate.
+fn timed_repeats<R>(
+    mut run: impl FnMut() -> R,
+    fingerprint: impl Fn(&R) -> (u64, u64),
+) -> (R, Wall) {
+    let mut walls = Vec::with_capacity(REPEATS);
+    let mut last: Option<R> = None;
+    for _ in 0..REPEATS {
+        let start = std::time::Instant::now();
+        let result = run();
+        walls.push(start.elapsed().as_secs_f64() * 1e3);
+        if let Some(prev) = &last {
+            assert_eq!(
+                fingerprint(prev),
+                fingerprint(&result),
+                "repeat {} diverged from the one before",
+                walls.len()
+            );
+        }
+        last = Some(result);
     }
-    eprintln!(
-        "bench_baseline[{}]: {} records ({} merged) in {:.1} ms -> {:.0} records/s ({out})",
-        pin.label(),
-        events,
-        analysis.merged_records,
-        wall_ms,
-        events_per_sec
-    );
-    if let Some(baseline) = baseline {
-        check_regression(
-            baseline,
-            check.unwrap_or(""),
-            &[
-                ("seed", pin.seed as f64),
-                ("users", pin.users as f64),
-                ("duration_s", pin.duration_s as f64),
-                ("events", events as f64),
-            ],
-            None,
-            events_per_sec,
-        );
-    }
+    walls.sort_by(f64::total_cmp);
+    let wall = Wall {
+        median: walls[REPEATS / 2],
+        min: walls[0],
+        max: walls[REPEATS - 1],
+    };
+    (last.expect("REPEATS > 0"), wall)
 }
 
 /// Appends `entry` to the trajectory array in `path`, creating the document

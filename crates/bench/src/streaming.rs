@@ -2,39 +2,32 @@
 //!
 //! [`Scenario::run`] buffers every captured frame until the end and analyzes
 //! post hoc — O(frames) peak memory, which at congestion-knee scale is the
-//! dominant allocation. [`run_streaming`] instead advances the simulator one
-//! time chunk at a time (repeated `run_until` calls are pure continuations
-//! of the same event queue, so results are identical), drains each sniffer's
-//! trace into its [`SecondAccumulator`] after every chunk, and returns the
-//! finished per-second statistics: peak memory is O(chunk + seconds), however
-//! long the run.
+//! dominant allocation. Every run here instead goes through one chunk loop:
+//! it advances the simulator one time chunk at a time (repeated `run_until`
+//! calls are pure continuations of the same event queue, so results are
+//! identical), drains each sniffer's trace into its [`SecondAccumulator`]
+//! after every chunk, and keeps no ground-truth tape (the on-air counter
+//! still runs). Peak memory is O(chunk + seconds), however long the run;
+//! `tests/alloc_bounds.rs` asserts that.
 //!
-//! [`run_streaming_pipelined`] additionally overlaps the two: the event loop
-//! stays on the calling thread and hands each chunk's captured frames
-//! through a bounded SPSC channel to an analysis thread folding them into
-//! the accumulators. Frame order through the channel is exactly the drain
-//! order of the serial path, so the results are byte-identical — the only
-//! difference is that analysis of chunk *n* runs while chunk *n + 1*
-//! simulates.
+//! The entry points differ only in what they hand that loop:
 //!
-//! [`run_sharded`] adds intra-scenario parallelism on top: the scenario is
-//! cut into RF-isolation components ([`wifi_sim::shard`]) that run as
-//! independent sub-simulators and merge to results byte-identical to the
-//! unsharded run. A scenario that does not split runs unsharded.
+//! * [`run_streaming`] — one simulator, no hook.
+//! * [`run_streaming_mobile`] — one simulator plus a tick hook that moves
+//!   the waypoint walkers at every mobility-tick boundary.
+//! * [`run_sharded`] — a plan of RF-isolation sub-simulators
+//!   ([`wifi_sim::shard`]), each run through the loop on a worker pool and
+//!   merged to results byte-identical to the unsharded run. A scenario that
+//!   does not split runs unsharded.
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
-use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
 use wifi_sim::shard::{Shard, ShardSpec};
 use wifi_sim::sniffer::SnifferStats;
-use wifi_sim::spsc;
 use wifi_sim::Simulator;
-
-/// Chunks buffered in the sim→analysis channel before the producer blocks.
-const PIPELINE_DEPTH: usize = 4;
 
 /// What a streaming run yields: the analysis, plus the counters the run
 /// reports and perf baselines need. Raw traces are intentionally absent —
@@ -56,6 +49,67 @@ pub struct StreamedRun {
     pub queue: QueueStats,
 }
 
+/// A hook the chunk loop calls at every multiple of its period that falls
+/// strictly inside the run.
+type Tick<'a> = (Micros, &'a mut dyn FnMut(&mut Simulator));
+
+/// The chunk loop every simulated run goes through: runs `sim` to
+/// `duration_us` in `chunk_us` steps and folds each sniffer's captures into
+/// its accumulator after every step. With a `tick`, steps are also clipped
+/// to tick boundaries, so the hook never lands mid-step and the stream stays
+/// a pure continuation of the event queue between hooks. The ground-truth
+/// tape is switched off: nothing here reads it, and it grows with duration.
+fn drive(
+    sim: &mut Simulator,
+    duration_us: Micros,
+    chunk_us: Micros,
+    mut tick: Option<Tick<'_>>,
+) -> Vec<Vec<SecondStats>> {
+    let chunk_us = chunk_us.max(1);
+    let tick_us = tick.as_ref().map_or(Micros::MAX, |(t, _)| (*t).max(1));
+    sim.config.record_ground_truth = false;
+    let mut accs: Vec<SecondAccumulator> = sim
+        .sniffers()
+        .iter()
+        .map(|_| SecondAccumulator::new())
+        .collect();
+    let mut now: Micros = 0;
+    let mut next_tick = tick_us;
+    while now < duration_us {
+        now = now.saturating_add(chunk_us).min(duration_us).min(next_tick);
+        sim.run_until(now);
+        for (sniffer, acc) in sim.sniffers_mut().iter_mut().zip(&mut accs) {
+            for record in sniffer.trace.drain(..) {
+                acc.push(record);
+            }
+        }
+        if now == next_tick && now < duration_us {
+            if let Some((_, hook)) = &mut tick {
+                hook(sim);
+            }
+            next_tick = next_tick.saturating_add(tick_us);
+        }
+    }
+    accs.into_iter().map(SecondAccumulator::finish).collect()
+}
+
+/// Packs a finished simulator's counters and the loop's analysis.
+fn streamed(
+    name: String,
+    sim: &Simulator,
+    per_sniffer_seconds: Vec<Vec<SecondStats>>,
+) -> StreamedRun {
+    StreamedRun {
+        name,
+        per_sniffer_seconds,
+        sniffer_stats: sim.sniffers().iter().map(|s| s.stats).collect(),
+        medium_stats: sim.medium_stats(),
+        events_processed: sim.events_processed(),
+        frames_on_air: sim.ground_truth.transmissions,
+        queue: sim.queue_stats(),
+    }
+}
+
 /// Runs `scenario` to completion in `chunk_us` steps, folding captured
 /// frames into per-sniffer accumulators as they appear.
 ///
@@ -70,32 +124,8 @@ pub struct StreamedRun {
 /// }
 /// ```
 pub fn run_streaming(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let chunk_us = chunk_us.max(1);
-    let mut accs: Vec<SecondAccumulator> = scenario
-        .sim
-        .sniffers()
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    while now < scenario.duration_us {
-        now = (now + chunk_us).min(scenario.duration_us);
-        scenario.sim.run_until(now);
-        for (sniffer, acc) in scenario.sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-    }
-    StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds: accs.into_iter().map(SecondAccumulator::finish).collect(),
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    }
+    let seconds = drive(&mut scenario.sim, scenario.duration_us, chunk_us, None);
+    streamed(scenario.name, &scenario.sim, seconds)
 }
 
 /// Mobility counters of a finished [`run_streaming_mobile`] run, reported
@@ -110,111 +140,28 @@ pub struct MobilityStats {
     pub roams: u64,
 }
 
-/// [`run_streaming`] for a [`MobileScenario`]: chunked execution with the
-/// waypoint walkers advanced at every mobility-tick boundary. Chunks are
-/// clipped to tick boundaries so a move can never land mid-chunk — the
-/// stream is a pure continuation of the same event queue between moves,
-/// exactly like the static runner.
+/// [`run_streaming`] for a [`MobileScenario`]: the waypoint walkers advance
+/// at every mobility-tick boundary before the run's end (the final boundary
+/// moves nothing — nothing is left to observe it).
 pub fn run_streaming_mobile(
     mut scenario: MobileScenario,
     chunk_us: Micros,
 ) -> (StreamedRun, MobilityStats) {
-    let chunk_us = chunk_us.max(1);
     let tick_us = scenario.tick_us.max(1);
-    let mut accs: Vec<SecondAccumulator> = scenario
-        .sim
-        .sniffers()
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    let mut next_tick = tick_us;
-    while now < scenario.duration_us {
-        now = (now + chunk_us).min(scenario.duration_us).min(next_tick);
-        scenario.sim.run_until(now);
-        for (sniffer, acc) in scenario.sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-        if now == next_tick {
-            if now < scenario.duration_us {
-                scenario.mobility.advance(&mut scenario.sim, tick_us);
-            }
-            next_tick += tick_us;
-        }
-    }
+    let mobility = &mut scenario.mobility;
+    let mut walk = |sim: &mut Simulator| mobility.advance(sim, tick_us);
+    let seconds = drive(
+        &mut scenario.sim,
+        scenario.duration_us,
+        chunk_us,
+        Some((tick_us, &mut walk)),
+    );
     let stats = MobilityStats {
         walkers: scenario.mobility.walker_count(),
         moves: scenario.mobility.moves,
         roams: scenario.mobility.roams,
     };
-    let run = StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds: accs.into_iter().map(SecondAccumulator::finish).collect(),
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    };
-    (run, stats)
-}
-
-/// [`run_streaming`] with simulation and analysis overlapped on two threads.
-///
-/// The simulator (which is not `Send` and never migrates) runs chunks on the
-/// calling thread; after each chunk the captured frames are drained into a
-/// per-sniffer batch and sent through a bounded [`spsc`] channel to a scoped
-/// analysis thread that folds them into the [`SecondAccumulator`]s. Every
-/// frame reaches its accumulator in the same order as the serial path, so
-/// the returned [`StreamedRun`] is byte-identical to `run_streaming`'s; the
-/// channel bound keeps at most `PIPELINE_DEPTH` (4) chunks of frames alive.
-pub fn run_streaming_pipelined(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let chunk_us = chunk_us.max(1);
-    let n_sniffers = scenario.sim.sniffers().len();
-    let (tx, rx) = spsc::channel::<Vec<Vec<FrameRecord>>>(PIPELINE_DEPTH);
-    let per_sniffer_seconds = std::thread::scope(|scope| {
-        let consumer = scope.spawn(move || {
-            let mut accs: Vec<SecondAccumulator> =
-                (0..n_sniffers).map(|_| SecondAccumulator::new()).collect();
-            while let Some(chunk) = rx.recv() {
-                for (records, acc) in chunk.into_iter().zip(&mut accs) {
-                    for record in records {
-                        acc.push(record);
-                    }
-                }
-            }
-            accs.into_iter()
-                .map(SecondAccumulator::finish)
-                .collect::<Vec<_>>()
-        });
-        let mut now: Micros = 0;
-        while now < scenario.duration_us {
-            now = (now + chunk_us).min(scenario.duration_us);
-            scenario.sim.run_until(now);
-            let chunk: Vec<Vec<FrameRecord>> = scenario
-                .sim
-                .sniffers_mut()
-                .iter_mut()
-                .map(|s| s.trace.drain(..).collect())
-                .collect();
-            if tx.send(chunk).is_err() {
-                break; // consumer died; its join below propagates the panic
-            }
-        }
-        drop(tx);
-        consumer.join().expect("analysis thread panicked")
-    });
-    StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds,
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    }
+    (streamed(scenario.name, &scenario.sim, seconds), stats)
 }
 
 /// What a sharded run yields: the merged [`StreamedRun`] plus how the
@@ -233,54 +180,6 @@ pub struct ShardedRun {
     /// benchmark reads it (`sim.shard.lockstep`); it goes once the
     /// benchmark drops its `sim.shard.lockstep*` metrics.
     pub lockstep: bool,
-}
-
-/// Everything one shard's sub-simulator produced.
-struct ShardOut {
-    /// `(global sniffer index, per-second stats, counters)`.
-    sniffers: Vec<(usize, Vec<SecondStats>, SnifferStats)>,
-    medium_stats: Vec<(u64, u64)>,
-    events_processed: u64,
-    frames_on_air: u64,
-    queue: QueueStats,
-}
-
-/// Runs one sub-simulator to `duration_us` in chunks, folding its sniffer
-/// traces into per-second accumulators — the per-shard half of
-/// [`run_streaming`].
-fn run_shard_streaming(
-    mut sim: Simulator,
-    sniffer_indices: Vec<usize>,
-    duration_us: Micros,
-    chunk_us: Micros,
-) -> ShardOut {
-    let mut accs: Vec<SecondAccumulator> = sniffer_indices
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    while now < duration_us {
-        now = (now + chunk_us).min(duration_us);
-        sim.run_until(now);
-        for (sniffer, acc) in sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-    }
-    let sniffers = sniffer_indices
-        .into_iter()
-        .zip(accs)
-        .zip(sim.sniffers().iter())
-        .map(|((gi, acc), s)| (gi, acc.finish(), s.stats))
-        .collect();
-    ShardOut {
-        sniffers,
-        medium_stats: sim.medium_stats(),
-        events_processed: sim.events_processed(),
-        frames_on_air: sim.ground_truth.transmissions,
-        queue: sim.queue_stats(),
-    }
 }
 
 /// Runs a recorded scenario with intra-scenario parallelism: the station
@@ -327,7 +226,6 @@ pub fn run_sharded(
     threads: usize,
     max_shards: usize,
 ) -> ShardedRun {
-    let chunk_us = chunk_us.max(1);
     let ShardScenario {
         name,
         duration_us,
@@ -349,76 +247,64 @@ pub fn run_sharded(
             lockstep: false,
         };
     };
-    let outs: Vec<ShardOut> = run_parallel(&plan.shards, threads, |shard: &Shard| {
+    let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
         // Sub-simulators are built inside the worker (a Simulator is not
         // Send; the spec is).
-        let sim = spec.build_shard(shard);
-        run_shard_streaming(
-            sim,
-            shard.sniffer_indices().collect(),
-            duration_us,
-            chunk_us,
-        )
+        let mut sim = spec.build_shard(shard);
+        let seconds = drive(&mut sim, duration_us, chunk_us, None);
+        streamed(String::new(), &sim, seconds)
     });
-    let shards = plan.shards.len();
-    merge_shard_outs(name, &spec, outs, shards, plan.components)
-}
-
-/// Merges per-shard outputs into one [`ShardedRun`]. Placement and sums
-/// only: every sniffer lives in exactly one shard, and medium stats and the
-/// scalar counters are disjoint per shard, so the merge is exact.
-fn merge_shard_outs(
-    name: String,
-    spec: &ShardSpec,
-    outs: Vec<ShardOut>,
-    shards: usize,
-    components: usize,
-) -> ShardedRun {
-    let channels = spec.config().channels.len();
-    let mut per_sniffer_seconds: Vec<Vec<SecondStats>> =
-        (0..spec.sniffer_count()).map(|_| Vec::new()).collect();
-    let mut sniffer_stats: Vec<SnifferStats> = vec![SnifferStats::default(); spec.sniffer_count()];
-    let mut medium_stats = vec![(0u64, 0u64); channels];
-    let mut events_processed = 0u64;
-    let mut frames_on_air = 0u64;
-    let mut queue = QueueStats::default();
-    for out in outs {
-        for (gi, seconds, stats) in out.sniffers {
-            per_sniffer_seconds[gi] = seconds;
-            sniffer_stats[gi] = stats;
-        }
-        for (ch, (tx, coll)) in out.medium_stats.into_iter().enumerate() {
-            medium_stats[ch].0 += tx;
-            medium_stats[ch].1 += coll;
-        }
-        events_processed += out.events_processed;
-        frames_on_air += out.frames_on_air;
-        queue.pushed += out.queue.pushed;
-        queue.popped += out.queue.popped;
-        queue.stale_dropped += out.queue.stale_dropped;
-        queue.cascaded += out.queue.cascaded;
-    }
     ShardedRun {
-        run: StreamedRun {
-            name,
-            per_sniffer_seconds,
-            sniffer_stats,
-            medium_stats,
-            events_processed,
-            frames_on_air,
-            queue,
-        },
-        shards,
-        components,
+        run: merge_shard_runs(name, &spec, plan.shards.iter().zip(runs)),
+        shards: plan.shards.len(),
+        components: plan.components,
         lockstep: false,
     }
+}
+
+/// Merges per-shard runs into one [`StreamedRun`]. Placement and sums
+/// only: every sniffer lives in exactly one shard (its shard-local sniffers
+/// are that shard's global indices in order), and medium stats and the
+/// scalar counters are disjoint per shard, so the merge is exact.
+fn merge_shard_runs<'a>(
+    name: String,
+    spec: &ShardSpec,
+    runs: impl Iterator<Item = (&'a Shard, StreamedRun)>,
+) -> StreamedRun {
+    let mut merged = StreamedRun {
+        name,
+        per_sniffer_seconds: vec![Vec::new(); spec.sniffer_count()],
+        sniffer_stats: vec![SnifferStats::default(); spec.sniffer_count()],
+        medium_stats: vec![(0, 0); spec.config().channels.len()],
+        events_processed: 0,
+        frames_on_air: 0,
+        queue: QueueStats::default(),
+    };
+    for (shard, run) in runs {
+        let local = run.per_sniffer_seconds.into_iter().zip(run.sniffer_stats);
+        for (gi, (seconds, stats)) in shard.sniffer_indices().zip(local) {
+            merged.per_sniffer_seconds[gi] = seconds;
+            merged.sniffer_stats[gi] = stats;
+        }
+        for (sum, (tx, coll)) in merged.medium_stats.iter_mut().zip(run.medium_stats) {
+            sum.0 += tx;
+            sum.1 += coll;
+        }
+        merged.events_processed += run.events_processed;
+        merged.frames_on_air += run.frames_on_air;
+        merged.queue.pushed += run.queue.pushed;
+        merged.queue.popped += run.queue.popped;
+        merged.queue.stale_dropped += run.queue.stale_dropped;
+        merged.queue.cascaded += run.queue.cascaded;
+    }
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use congestion::analyze;
-    use ietf_workloads::load_ramp;
+    use ietf_workloads::{load_ramp, mobile_venue, ChurnScale};
 
     /// The streaming path must reproduce the batch path exactly: same
     /// events, same captures, same per-second statistics.
@@ -443,31 +329,121 @@ mod tests {
         }
     }
 
-    /// The pipelined path must be byte-identical to the serial streaming
-    /// path: same analysis, same counters, whatever the chunk size.
+    /// Clipping chunks to tick boundaries must be invisible: the chunk loop
+    /// with a do-nothing hook every 400 ms is byte-identical to
+    /// [`run_streaming`] — same analysis, same counters, whatever the chunk
+    /// size. (Named for the two-thread pipelined runner it once compared;
+    /// that runner is gone and the serial loop is the only path.)
     #[test]
     fn pipelined_matches_serial_streaming() {
         for chunk_us in [750_000u64, 5_000_000] {
             let serial = run_streaming(load_ramp(7, 8, 6, 1.5), chunk_us);
-            let piped = run_streaming_pipelined(load_ramp(7, 8, 6, 1.5), chunk_us);
-            assert_eq!(piped.events_processed, serial.events_processed);
-            assert_eq!(piped.frames_on_air, serial.frames_on_air);
-            assert_eq!(piped.medium_stats, serial.medium_stats);
-            assert_eq!(piped.queue, serial.queue);
+            let mut scenario = load_ramp(7, 8, 6, 1.5);
+            let mut ticks = 0u32;
+            let mut count = |_: &mut Simulator| ticks += 1;
+            let seconds = drive(
+                &mut scenario.sim,
+                scenario.duration_us,
+                chunk_us,
+                Some((400_000, &mut count)),
+            );
+            let ticked = streamed(scenario.name, &scenario.sim, seconds);
+            assert_eq!(ticks, 14, "one hook per boundary strictly inside 6 s");
+            assert_eq!(ticked.events_processed, serial.events_processed);
+            assert_eq!(ticked.frames_on_air, serial.frames_on_air);
+            assert_eq!(ticked.medium_stats, serial.medium_stats);
+            assert_eq!(ticked.queue, serial.queue);
             assert_eq!(
-                format!("{:?}", piped.sniffer_stats),
+                format!("{:?}", ticked.sniffer_stats),
                 format!("{:?}", serial.sniffer_stats)
             );
-            for (p, s) in piped
-                .per_sniffer_seconds
-                .iter()
-                .zip(&serial.per_sniffer_seconds)
-            {
-                assert_eq!(format!("{p:?}"), format!("{s:?}"));
-            }
+            assert_eq!(
+                format!("{:?}", ticked.per_sniffer_seconds),
+                format!("{:?}", serial.per_sniffer_seconds)
+            );
         }
     }
 
+    fn small_churn(seed: u64) -> MobileScenario {
+        mobile_venue(ChurnScale {
+            seed,
+            users: 12,
+            duration_s: 20,
+            activity: 0.5,
+            walker_fraction: 1.0,
+        })
+    }
+
+    /// The tick-by-tick mobile driver the chunk loop replaced, kept as its
+    /// oracle: run to each tick, move the walkers, repeat; buffer every
+    /// trace and analyze post hoc.
+    fn mobile_tick_loop(mut sc: MobileScenario) -> (StreamedRun, MobilityStats) {
+        let mut now: Micros = 0;
+        while now < sc.duration_us {
+            now = (now + sc.tick_us).min(sc.duration_us);
+            sc.sim.run_until(now);
+            if now < sc.duration_us {
+                sc.mobility.advance(&mut sc.sim, sc.tick_us);
+            }
+        }
+        let seconds = sc
+            .sim
+            .sniffers()
+            .iter()
+            .map(|s| analyze(&s.trace))
+            .collect();
+        let stats = MobilityStats {
+            walkers: sc.mobility.walker_count(),
+            moves: sc.mobility.moves,
+            roams: sc.mobility.roams,
+        };
+        (streamed(sc.name, &sc.sim, seconds), stats)
+    }
+
+    /// The mobile path must reproduce the tick-by-tick oracle exactly for
+    /// chunks shorter than, equal to and longer than the 4 s tick.
+    #[test]
+    fn mobile_streaming_matches_tick_loop() {
+        let (want, want_moves) = mobile_tick_loop(small_churn(3));
+        assert!(want_moves.moves > 0, "walkers moved");
+        for chunk_us in [750_000u64, 4_000_000, 5_000_000] {
+            let (got, moves) = run_streaming_mobile(small_churn(3), chunk_us);
+            assert_eq!(got.events_processed, want.events_processed, "{chunk_us}");
+            assert_eq!(got.frames_on_air, want.frames_on_air, "{chunk_us}");
+            assert_eq!(got.medium_stats, want.medium_stats, "{chunk_us}");
+            assert_eq!(
+                format!("{:?}", got.sniffer_stats),
+                format!("{:?}", want.sniffer_stats),
+                "{chunk_us}"
+            );
+            assert_eq!(
+                format!("{:?}", got.per_sniffer_seconds),
+                format!("{:?}", want.per_sniffer_seconds),
+                "{chunk_us}"
+            );
+            assert_eq!(
+                (moves.walkers, moves.moves, moves.roams),
+                (want_moves.walkers, want_moves.moves, want_moves.roams),
+                "{chunk_us}"
+            );
+        }
+    }
+
+    #[test]
+    fn churn_run_is_deterministic_in_its_seed() {
+        let run = |seed: u64| {
+            let (run, mobility) = run_streaming_mobile(small_churn(seed), 1_000_000);
+            (
+                run.events_processed,
+                run.frames_on_air,
+                mobility.moves,
+                mobility.roams,
+            )
+        };
+        let a = run(7);
+        let b = run(7);
+        assert_eq!(a, b, "same seed, same churn run");
+    }
     /// A sharded campus run must merge to exactly the unsharded streaming
     /// result — for every shard cap and worker count (queue churn excepted;
     /// see [`ShardedRun::run`]).

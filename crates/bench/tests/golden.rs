@@ -18,7 +18,8 @@
 //! golden` — but only when a change is *supposed* to alter simulated output;
 //! a perf PR that needs a re-bless is a broken perf PR.
 
-use congestion_bench::streaming::{run_streaming, run_streaming_pipelined};
+use congestion::analyze;
+use congestion_bench::streaming::run_streaming;
 use congestion_bench::{run_cells, Cell, SweepArgs};
 use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, ScenarioResult, SessionScale};
 
@@ -161,40 +162,36 @@ fn output_matches_preoptimization_goldens_across_threads() {
     );
 }
 
-/// The pipelined sim→analysis path must match the serial streaming path
-/// byte-for-byte on the golden cell set — same per-second statistics, same
-/// counters — and both must match the batch `Scenario::run` denominators.
+/// The streaming driver must match the batch `Scenario::run` byte-for-byte
+/// on the golden cell set: same counters, and per-second statistics equal
+/// to `analyze` over the batch traces. (Named for the two-thread pipelined
+/// runner it once also compared; that runner is gone, and the chunk loop
+/// behind `run_streaming` is the only streaming path.)
 #[test]
 fn pipelined_streaming_matches_serial_on_golden_cells() {
     for cell in golden_cells() {
         let batch = cell.build_scenario().run();
         let serial = run_streaming(cell.build_scenario(), 1_000_000);
-        let piped = run_streaming_pipelined(cell.build_scenario(), 1_000_000);
-        assert_eq!(
-            piped.events_processed, serial.events_processed,
-            "{}: pipelined event count diverged",
-            cell.label
-        );
-        assert_eq!(piped.frames_on_air, serial.frames_on_air, "{}", cell.label);
-        assert_eq!(piped.medium_stats, serial.medium_stats, "{}", cell.label);
-        assert_eq!(piped.queue, serial.queue, "{}", cell.label);
-        assert_eq!(
-            format!("{:?}", piped.sniffer_stats),
-            format!("{:?}", serial.sniffer_stats),
-            "{}",
-            cell.label
-        );
-        assert_eq!(
-            format!("{:?}", piped.per_sniffer_seconds),
-            format!("{:?}", serial.per_sniffer_seconds),
-            "{}: pipelined per-second analysis diverged",
-            cell.label
-        );
         assert_eq!(
             serial.events_processed, batch.events_processed,
             "{}",
             cell.label
         );
         assert_eq!(serial.frames_on_air, batch.frames_on_air, "{}", cell.label);
+        assert_eq!(serial.medium_stats, batch.medium_stats, "{}", cell.label);
+        assert_eq!(serial.queue, batch.queue, "{}", cell.label);
+        assert_eq!(
+            format!("{:?}", serial.sniffer_stats),
+            format!("{:?}", batch.sniffer_stats),
+            "{}",
+            cell.label
+        );
+        let analyzed: Vec<_> = batch.traces.iter().map(|t| analyze(t)).collect();
+        assert_eq!(
+            format!("{:?}", serial.per_sniffer_seconds),
+            format!("{analyzed:?}"),
+            "{}: streamed per-second analysis diverged from the batch traces",
+            cell.label
+        );
     }
 }

@@ -16,9 +16,10 @@
 //!   global flush), followed by a strongest-AP reassociation check with
 //!   hysteresis ([`Simulator::reassociate_strongest`]), mirroring how
 //!   aggressive-roaming-era cards hopped APs as RSSI shifted.
-//! * [`MobileScenario`] is the driver: simulate a tick, move the walkers,
-//!   repeat — and [`mobile_venue`] instantiates the pinned churn workload
-//!   (`BENCH_sim_churn.json`).
+//! * [`MobileScenario`] bundles a simulator with its walkers and tick; the
+//!   streaming driver (`congestion_bench::streaming::run_streaming_mobile`)
+//!   simulates a tick, moves the walkers, and repeats. [`mobile_venue`]
+//!   instantiates the pinned churn workload (`BENCH_sim_churn.json`).
 //!
 //! Determinism: one seeded [`SmallRng`] drives every walker, advanced in
 //! ascending node order each tick, and all moves of a tick are applied
@@ -26,8 +27,7 @@
 //! the ordering contract.
 
 use crate::scenario::{
-    ap_grid, collect_result, draw_power_save, draw_traffic, draw_user_fps, ietf_radio,
-    ScenarioResult, VENUE_H, VENUE_W,
+    ap_grid, draw_power_save, draw_traffic, draw_user_fps, ietf_radio, VENUE_H, VENUE_W,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -176,8 +176,9 @@ impl WaypointMobility {
     }
 }
 
-/// A scenario whose clients move: simulate to the next coherence tick,
-/// advance the walkers, repeat.
+/// A scenario whose clients move: the driver simulates to the next
+/// coherence tick, advances the walkers, and repeats; the final boundary
+/// applies no moves.
 pub struct MobileScenario {
     /// Scenario name ("churn", …).
     pub name: String,
@@ -189,22 +190,6 @@ pub struct MobileScenario {
     pub sim: Simulator,
     /// The walk driver.
     pub mobility: WaypointMobility,
-}
-
-impl MobileScenario {
-    /// Runs to completion, interleaving simulation and movement. The final
-    /// boundary applies no moves (there is nothing left to observe them).
-    pub fn run(mut self) -> ScenarioResult {
-        let mut now: Micros = 0;
-        while now < self.duration_us {
-            now = (now + self.tick_us).min(self.duration_us);
-            self.sim.run_until(now);
-            if now < self.duration_us {
-                self.mobility.advance(&mut self.sim, self.tick_us);
-            }
-        }
-        collect_result(self.name, &mut self.sim)
-    }
 }
 
 /// Scale of the mobile-venue churn scenario.
@@ -307,24 +292,6 @@ pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn churn_run_is_deterministic_in_its_seed() {
-        let run = |seed: u64| {
-            let result = mobile_venue(ChurnScale {
-                seed,
-                users: 12,
-                duration_s: 20,
-                activity: 0.5,
-                walker_fraction: 1.0,
-            })
-            .run();
-            (result.events_processed, result.frames_on_air)
-        };
-        let a = run(7);
-        let b = run(7);
-        assert_eq!(a, b, "same seed, same churn run");
-    }
 
     #[test]
     fn mobile_venue_roams_and_moves() {

@@ -125,47 +125,45 @@ pub struct ScenarioResult {
 }
 
 impl Scenario {
-    /// Runs the scenario to completion.
+    /// Runs the scenario to completion in one `run_until` and keeps every
+    /// captured trace (and, when `record_ground_truth` is on, the
+    /// ground-truth tape) — O(frames) memory. The streaming driver in
+    /// `congestion_bench::streaming` yields the same statistics in
+    /// O(chunk + seconds).
     pub fn run(mut self) -> ScenarioResult {
-        self.sim.run_until(self.duration_us);
-        collect_result(self.name, &mut self.sim)
-    }
-}
-
-/// Drains a finished simulator into a [`ScenarioResult`] — shared by
-/// [`Scenario::run`] and the mobility driver
-/// ([`crate::mobility::MobileScenario::run`]).
-pub(crate) fn collect_result(name: String, sim: &mut Simulator) -> ScenarioResult {
-    let sniffer_stats = sim.sniffers().iter().map(|s| s.stats).collect();
-    let traces = sim
-        .sniffers_mut()
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.trace))
-        .collect();
-    let stations = sim
-        .stations()
-        .iter()
-        .map(|s| StationSummary {
-            mac: s.mac,
-            is_ap: s.is_ap(),
-            uses_rts: s.rts_policy != RtsPolicy::Never,
-            delivered: s.stats.delivered,
-            attempts: s.stats.tx_attempts,
-            retry_drops: s.stats.retry_drops,
-            queue_drops: s.stats.queue_drops,
-            delay_total_us: s.stats.delivery_delay_total_us,
-        })
-        .collect();
-    ScenarioResult {
-        name,
-        traces,
-        sniffer_stats,
-        ground_truth: std::mem::take(&mut sim.ground_truth.records),
-        medium_stats: sim.medium_stats(),
-        stations,
-        events_processed: sim.events_processed(),
-        frames_on_air: sim.ground_truth.transmissions,
-        queue: sim.queue_stats(),
+        let sim = &mut self.sim;
+        sim.run_until(self.duration_us);
+        let sniffer_stats = sim.sniffers().iter().map(|s| s.stats).collect();
+        let traces = sim
+            .sniffers_mut()
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.trace))
+            .collect();
+        let stations = sim
+            .stations()
+            .iter()
+            .map(|s| StationSummary {
+                mac: s.mac,
+                is_ap: s.is_ap(),
+                uses_rts: s.rts_policy != RtsPolicy::Never,
+                delivered: s.stats.delivered,
+                attempts: s.stats.tx_attempts,
+                retry_drops: s.stats.retry_drops,
+                queue_drops: s.stats.queue_drops,
+                delay_total_us: s.stats.delivery_delay_total_us,
+            })
+            .collect();
+        ScenarioResult {
+            name: self.name,
+            traces,
+            sniffer_stats,
+            ground_truth: std::mem::take(&mut sim.ground_truth.records),
+            medium_stats: sim.medium_stats(),
+            stations,
+            events_processed: sim.events_processed(),
+            frames_on_air: sim.ground_truth.transmissions,
+            queue: sim.queue_stats(),
+        }
     }
 }
 
