@@ -8,8 +8,14 @@
 //! pinned bit-identical to the rebuild by
 //! `crates/sim/tests/topology_incremental.rs`, so this file measures cost
 //! only.
+//!
+//! The `shard_partition` group times `ShardSpec::partition` on the venue
+//! campus at 5k and 20k users — the stage the benchmark reports as
+//! `sim.shard.partition_s`. Its grid-bucketed coupling check keeps it
+//! near-linear in stations.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use ietf_workloads::{venue_campus, CampusScale};
 use wifi_sim::geometry::Pos;
 use wifi_sim::radio::RadioConfig;
 use wifi_sim::topology::SensingTopology;
@@ -83,5 +89,21 @@ fn bench_topology(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_topology);
+fn bench_partition(c: &mut Criterion) {
+    let mut g = c.benchmark_group("shard_partition");
+    g.sample_size(10);
+    for users in [5_000usize, 20_000] {
+        let campus = venue_campus(CampusScale {
+            users,
+            ..CampusScale::venue_5k(1)
+        });
+        g.throughput(Throughput::Elements(campus.spec.station_count() as u64));
+        g.bench_function(&format!("venue_campus_{users}"), |b| {
+            b.iter(|| black_box(campus.spec.partition(usize::MAX)).map(|p| p.components))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_topology, bench_partition);
 criterion_main!(benches);

@@ -98,6 +98,31 @@ fn venue_run_sharded_peak_heap_is_bounded() {
     );
 }
 
+/// Planning alone at 20,000 campus users: `partition` may hold at most
+/// 2 MB of live heap on top of the built spec. Its transients are linear in
+/// stations (union-find, labels, client→AP pairs, the coupling grid and the
+/// shard lists), 1.7 MB here; any per-pair structure is far larger.
+#[test]
+fn partition_peak_heap_is_linear() {
+    const SLACK: usize = 2 << 20;
+    let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = venue_campus(CampusScale {
+        users: 20_000,
+        ..CampusScale::venue_5k(1)
+    });
+    let built = LIVE.load(Ordering::Relaxed);
+    let (plan, peak) = peak_live_bytes(|| scenario.spec.partition(usize::MAX));
+    let plan = plan.expect("the campus shards");
+    assert_eq!(plan.components, 39, "one component per (hall, channel)");
+    let over = peak - built;
+    assert!(
+        over <= SLACK,
+        "partition peaked {:.2} MB above the built spec (slack {} MB)",
+        over as f64 / 1e6,
+        SLACK >> 20
+    );
+}
+
 /// The CI-quick load ramp through `run_streaming` at 10 s and at 160 s:
 /// the long run may peak at most 1 MB above the short one. A per-frame tape
 /// (≈6 MB more at 160 s) fails this.

@@ -18,7 +18,11 @@
 //! 2. [`ShardSpec::partition`] finds the components and packs them into at
 //!    most `max_shards` shards (longest-processing-time by station count);
 //!    [`ShardSpec::build_shard`] materializes one shard as a partitioned
-//!    [`Simulator`] whose media are that shard's components.
+//!    [`Simulator`] whose media are that shard's components. Finding them
+//!    is near-linear in stations: only same-channel stations in adjacent
+//!    cells of a grid whose side is at least the coupling range are
+//!    checked for coupling, and each client's strongest AP is sought among
+//!    its own channel's APs.
 //!
 //! ## Why results are identical (the determinism argument)
 //!
@@ -68,6 +72,7 @@ use crate::sim::{ClientConfig, Simulator};
 use crate::sniffer::SnifferConfig;
 use crate::station::RtsPolicy;
 use crate::topology::{NodeSet, SensingTopology};
+use std::collections::BTreeMap;
 use wifi_frames::phy::Rate;
 use wifi_frames::timing::Micros;
 
@@ -154,6 +159,7 @@ pub struct ShardSpec {
 /// One shard of a partitioned scenario: a group of RF-isolation
 /// components, each becoming one medium of one partitioned [`Simulator`].
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct Shard {
     /// The channel index each medium (component) of this shard lives on.
     pub medium_channel: Vec<usize>,
@@ -165,7 +171,7 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Stations materialized into this shard (global indices, ascending).
+    /// How many stations are materialized into this shard.
     pub fn station_count(&self) -> usize {
         self.stations.len()
     }
@@ -355,6 +361,164 @@ impl UnionFind {
     }
 }
 
+/// Where the planner reads a scenario's geometry. Positions only bucket
+/// candidates; the three predicates decide every edge.
+trait Geometry {
+    /// Position of station `i`.
+    fn station_pos(&self, i: usize) -> Pos;
+    /// Position of sniffer `si`.
+    fn sniffer_pos(&self, si: usize) -> Pos;
+    /// Does the path RSSI between stations `a` and `b` clear the floor?
+    fn coupled(&self, a: usize, b: usize) -> bool;
+    /// Path RSSI of station `tx` at station `rx`, dBm.
+    fn rssi(&self, tx: usize, rx: usize) -> f64;
+    /// Does station `st` reach sniffer `si` above the floor?
+    fn sniffer_hears(&self, si: usize, st: usize) -> bool;
+}
+
+/// The recorded build positions, through direct path-loss math.
+struct PathLoss<'a> {
+    spec: &'a ShardSpec,
+    floor: f64,
+}
+
+impl PathLoss<'_> {
+    fn new(spec: &ShardSpec) -> PathLoss<'_> {
+        let floor = spec.config.radio.effective_coupling_floor_dbm();
+        PathLoss { spec, floor }
+    }
+}
+
+impl Geometry for PathLoss<'_> {
+    fn station_pos(&self, i: usize) -> Pos {
+        self.spec.stations[i].pos()
+    }
+
+    fn sniffer_pos(&self, si: usize) -> Pos {
+        self.spec.sniffers[si].pos
+    }
+
+    fn coupled(&self, a: usize, b: usize) -> bool {
+        self.rssi(a, b) >= self.floor
+    }
+
+    fn rssi(&self, tx: usize, rx: usize) -> f64 {
+        let radio = &self.spec.config.radio;
+        radio.rssi_dbm(self.station_pos(tx), self.station_pos(rx))
+    }
+
+    fn sniffer_hears(&self, si: usize, st: usize) -> bool {
+        let radio = &self.spec.config.radio;
+        radio.rssi_dbm(self.station_pos(st), self.sniffer_pos(si)) >= self.floor
+    }
+}
+
+/// A maintained topology's current positions and cached RSSI and coupling
+/// bits (built under the spec's radio).
+struct Cached<'a> {
+    topo: &'a SensingTopology,
+    floor: f64,
+}
+
+impl Cached<'_> {
+    /// `None` when `topo` does not cover exactly `spec`'s population.
+    fn covering<'a>(spec: &ShardSpec, topo: &'a SensingTopology) -> Option<Cached<'a>> {
+        (topo.station_count() == spec.stations.len() && topo.sniffer_count() == spec.sniffers.len())
+            .then(|| Cached {
+                topo,
+                floor: spec.config.radio.effective_coupling_floor_dbm(),
+            })
+    }
+}
+
+impl Geometry for Cached<'_> {
+    fn station_pos(&self, i: usize) -> Pos {
+        self.topo.position(i)
+    }
+
+    fn sniffer_pos(&self, si: usize) -> Pos {
+        self.topo.sniffer_position(si)
+    }
+
+    fn coupled(&self, a: usize, b: usize) -> bool {
+        self.topo.coupled(a, b)
+    }
+
+    fn rssi(&self, tx: usize, rx: usize) -> f64 {
+        self.topo.rssi(tx, rx)
+    }
+
+    fn sniffer_hears(&self, si: usize, st: usize) -> bool {
+        self.topo.sniffer_rssi(si, st) >= self.floor
+    }
+}
+
+/// Candidate coupling pairs: stations bucketed by `(channel, cell)` on a
+/// square grid whose side is at least the coupling range, so any two
+/// coupled stations sit in the same or adjacent cells of one channel.
+struct CouplingGrid {
+    /// Cell side, m; `None` puts each channel in one cell.
+    side: Option<f64>,
+    /// Station indices per `(channel, cell)`, ascending.
+    cells: BTreeMap<(usize, Cell), Vec<usize>>,
+}
+
+/// A grid cell, `(⌊x / side⌋, ⌊y / side⌋)`.
+type Cell = (i64, i64);
+
+impl CouplingGrid {
+    /// Largest `|coordinate / side|` the grid buckets. Within it the
+    /// rounding of `x / side` (< 2⁻²⁰) stays far inside the side's 0.1%
+    /// margin; a point beyond it (or not finite) drops the grid.
+    const MAX_CELL: f64 = (1u64 << 32) as f64;
+
+    fn new(spec: &ShardSpec, geo: &impl Geometry) -> CouplingGrid {
+        let radio = &spec.config.radio;
+        let range = radio.range_at_dbm(radio.effective_coupling_floor_dbm());
+        // The margin covers rounding in the path-loss math. Without a
+        // positive exponent path loss does not grow with distance, so no
+        // range bounds coupling.
+        let side = (radio.pathloss_exp > 0.0 && range.is_finite() && range > 0.0)
+            .then_some(range * 1.001)
+            .filter(|&side| {
+                let fits = |p: Pos| {
+                    (p.x / side).abs() <= Self::MAX_CELL && (p.y / side).abs() <= Self::MAX_CELL
+                };
+                (0..spec.stations.len()).all(|i| fits(geo.station_pos(i)))
+                    && (0..spec.sniffers.len()).all(|si| fits(geo.sniffer_pos(si)))
+            });
+        let mut grid = CouplingGrid {
+            side,
+            cells: BTreeMap::new(),
+        };
+        for (i, op) in spec.stations.iter().enumerate() {
+            let cell = grid.cell(geo.station_pos(i));
+            grid.cells
+                .entry((op.channel_idx(), cell))
+                .or_default()
+                .push(i);
+        }
+        grid
+    }
+
+    fn cell(&self, pos: Pos) -> Cell {
+        match self.side {
+            Some(side) => ((pos.x / side).floor() as i64, (pos.y / side).floor() as i64),
+            None => (0, 0),
+        }
+    }
+
+    /// The station lists of `channel` in the 3×3 cells around `cell` (the
+    /// channel's one cell without a grid): every station that can couple
+    /// to a point in `cell`.
+    fn near(&self, channel: usize, (cx, cy): Cell) -> impl Iterator<Item = &[usize]> + '_ {
+        let r = i64::from(self.side.is_some());
+        (-r..=r)
+            .flat_map(move |dx| (-r..=r).map(move |dy| (cx + dx, cy + dy)))
+            .filter_map(move |cell| self.cells.get(&(channel, cell)).map(Vec::as_slice))
+    }
+}
+
 impl ShardSpec {
     /// A new, empty scenario description.
     pub fn new(config: SimConfig) -> ShardSpec {
@@ -368,13 +532,6 @@ impl ShardSpec {
     /// The configuration this scenario was described against.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Mutable configuration access (e.g. to switch off ground-truth
-    /// recording for perf runs). Changing the channel list after recording
-    /// stations is on the caller.
-    pub fn config_mut(&mut self) -> &mut SimConfig {
-        &mut self.config
     }
 
     /// Records an access point (defaults mirror [`Simulator::add_ap`]).
@@ -477,60 +634,55 @@ impl ShardSpec {
     /// unshardable, so there is no cut to compare). Reads only the cached
     /// matrix and bitsets; no path-loss math.
     pub fn coupling_signature(&self, topo: &SensingTopology) -> Option<CouplingSignature> {
-        if topo.station_count() != self.stations.len()
-            || topo.sniffer_count() != self.sniffers.len()
-        {
-            return None;
-        }
-        let floor = self.config.radio.effective_coupling_floor_dbm();
-        self.signature_impl(
-            |a, b| topo.coupled(a, b),
-            |ap, client| topo.rssi(ap, client),
-            |si, st| topo.sniffer_rssi(si, st) >= floor,
-        )
-        .map(|(_, sig)| sig)
+        let cached = Cached::covering(self, topo)?;
+        self.signature_impl(&cached).map(|(_, sig)| sig)
     }
 
     /// The shared coupling analysis behind [`ShardSpec::partition`],
     /// [`ShardSpec::partition_with`] and
-    /// [`ShardSpec::coupling_signature`], parameterized over the coupling
-    /// oracles so one caller can use direct path-loss math and another the
-    /// incrementally maintained cache — both produce identical unions
-    /// because the cached values *are* the same pure function's outputs.
-    /// Returns the entity union-find plus the canonical signature, or
-    /// `None` for an orphan client (whose join would rescan across
+    /// [`ShardSpec::coupling_signature`], generic over where the geometry
+    /// is read from, so one caller can use direct path-loss math and
+    /// another the incrementally maintained cache — both produce identical
+    /// unions because the cached values *are* the same pure function's
+    /// outputs. Returns the entity union-find plus the canonical signature,
+    /// or `None` for an orphan client (whose join would rescan across
     /// channels, which partitioned media cannot express).
-    fn signature_impl(
-        &self,
-        coupled: impl Fn(usize, usize) -> bool,
-        ap_rssi: impl Fn(usize, usize) -> f64,
-        sniffer_hears: impl Fn(usize, usize) -> bool,
-    ) -> Option<(UnionFind, CouplingSignature)> {
+    ///
+    /// Near-linear in stations: coupling candidates come from a
+    /// [`CouplingGrid`], pairs already in one component skip the oracle,
+    /// and each client's argmax scans only its own channel's APs.
+    fn signature_impl(&self, geo: &impl Geometry) -> Option<(UnionFind, CouplingSignature)> {
         let n = self.stations.len();
+        // Each channel's APs, ascending build order.
+        let mut aps: Vec<Vec<usize>> = vec![Vec::new(); self.config.channels.len()];
+        for (i, op) in self.stations.iter().enumerate() {
+            if op.is_ap() {
+                aps[op.channel_idx()].push(i);
+            }
+        }
         // Every client must have a co-channel AP somewhere, or the join
         // logic rescans onto another channel (a migration partitioned
         // media cannot express).
-        for op in &self.stations {
-            if op.is_ap() {
-                continue;
-            }
-            let ch = op.channel_idx();
-            if !self
-                .stations
-                .iter()
-                .any(|o| o.is_ap() && o.channel_idx() == ch)
-            {
-                return None;
-            }
+        if self
+            .stations
+            .iter()
+            .any(|op| !op.is_ap() && aps[op.channel_idx()].is_empty())
+        {
+            return None;
         }
         let mut uf = UnionFind::new(n + self.sniffers.len());
         // Coupled same-channel pairs interact; everything below the floor
-        // is ignored by the simulator entirely.
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.stations[a].channel_idx() == self.stations[b].channel_idx() && coupled(a, b)
-                {
-                    uf.union(a, b);
+        // is ignored by the simulator entirely. Each candidate pair is
+        // offered once, from its lower-indexed member's cell.
+        let grid = CouplingGrid::new(self, geo);
+        for (&(channel, cell), members) in &grid.cells {
+            for &a in members {
+                for near in grid.near(channel, cell) {
+                    for &b in &near[near.partition_point(|&b| b <= a)..] {
+                        if uf.find(a) != uf.find(b) && geo.coupled(a, b) {
+                            uf.union(a, b);
+                        }
+                    }
                 }
             }
         }
@@ -538,18 +690,15 @@ impl ShardSpec {
         // maximum in build order — exactly the join-time argmax), wherever
         // it is; keep that AP in the client's component.
         let mut client_ap = Vec::new();
-        for c in 0..n {
-            if self.stations[c].is_ap() {
+        for (c, op) in self.stations.iter().enumerate() {
+            if op.is_ap() {
                 continue;
             }
-            let ch = self.stations[c].channel_idx();
             let mut best: Option<(usize, f64)> = None;
-            for (i, op) in self.stations.iter().enumerate() {
-                if op.is_ap() && op.channel_idx() == ch {
-                    let rssi = ap_rssi(i, c);
-                    if best.is_none_or(|(_, b)| rssi > b) {
-                        best = Some((i, rssi));
-                    }
+            for &ap in &aps[op.channel_idx()] {
+                let rssi = geo.rssi(ap, c);
+                if best.is_none_or(|(_, b)| rssi > b) {
+                    best = Some((ap, rssi));
                 }
             }
             let (ap, _) = best.expect("checked above: every client channel has an AP");
@@ -560,9 +709,12 @@ impl ShardSpec {
         // whose path RSSI at the sniffer clears the floor; all of them must
         // share the sniffer's medium.
         for (si, cfg) in self.sniffers.iter().enumerate() {
-            for (i, op) in self.stations.iter().enumerate() {
-                if op.channel_idx() == cfg.channel_idx && sniffer_hears(si, i) {
-                    uf.union(n + si, i);
+            let cell = grid.cell(geo.sniffer_pos(si));
+            for near in grid.near(cfg.channel_idx, cell) {
+                for &i in near {
+                    if uf.find(n + si) != uf.find(i) && geo.sniffer_hears(si, i) {
+                        uf.union(n + si, i);
+                    }
                 }
             }
         }
@@ -577,19 +729,11 @@ impl ShardSpec {
     /// sharded (dynamic channel management, or a client whose channel has
     /// no AP and would rescan across channels).
     pub fn partition(&self, max_shards: usize) -> Option<ShardPlan> {
-        let radio = &self.config.radio;
-        let floor = radio.effective_coupling_floor_dbm();
         // Direct path-loss math: a one-shot partition has no maintained
         // topology to read, and materializing a throwaway O(N²) matrix
         // just for this pass would be a multi-hundred-MB transient at
         // venue scale.
-        self.partition_impl(
-            max_shards,
-            &[],
-            |a, b| radio.rssi_dbm(self.stations[a].pos(), self.stations[b].pos()) >= floor,
-            |ap, client| radio.rssi_dbm(self.stations[ap].pos(), self.stations[client].pos()),
-            |si, st| radio.rssi_dbm(self.stations[st].pos(), self.sniffers[si].pos) >= floor,
-        )
+        self.partition_impl(max_shards, &[], &PathLoss::new(self))
     }
 
     /// [`ShardSpec::partition`] against an incrementally maintained
@@ -610,50 +754,46 @@ impl ShardSpec {
         topo: &SensingTopology,
         keep_together: &[(usize, usize)],
     ) -> Option<ShardPlan> {
-        if topo.station_count() != self.stations.len()
-            || topo.sniffer_count() != self.sniffers.len()
-        {
-            return None;
-        }
-        let floor = self.config.radio.effective_coupling_floor_dbm();
-        self.partition_impl(
-            max_shards,
-            keep_together,
-            |a, b| topo.coupled(a, b),
-            |ap, client| topo.rssi(ap, client),
-            |si, st| topo.sniffer_rssi(si, st) >= floor,
-        )
+        self.partition_impl(max_shards, keep_together, &Cached::covering(self, topo)?)
     }
 
     fn partition_impl(
         &self,
         max_shards: usize,
         keep_together: &[(usize, usize)],
-        coupled: impl Fn(usize, usize) -> bool,
-        ap_rssi: impl Fn(usize, usize) -> f64,
-        sniffer_hears: impl Fn(usize, usize) -> bool,
+        geo: &impl Geometry,
     ) -> Option<ShardPlan> {
         if self.config.channel_mgmt.is_some() || max_shards == 0 {
             return None;
         }
+        let (uf, signature) = self.signature_impl(geo)?;
+        Some(self.pack(max_shards, keep_together, uf, signature))
+    }
+
+    /// Merges the `keep_together` edges into the coupling union-find, then
+    /// packs its components into at most `max_shards` shards.
+    fn pack(
+        &self,
+        max_shards: usize,
+        keep_together: &[(usize, usize)],
+        mut uf: UnionFind,
+        signature: CouplingSignature,
+    ) -> ShardPlan {
         let n = self.stations.len();
-        let (mut uf, signature) = self.signature_impl(coupled, ap_rssi, sniffer_hears)?;
         // Constraint edges merge after the natural signature is taken, so
         // the stored signature always describes the positions alone.
         for &(a, b) in keep_together {
             uf.union(a, b);
         }
-        // Collect components, keyed by (first-seen order of) root.
-        let mut comp_of_root: Vec<(usize, usize)> = Vec::new(); // (root, comp id)
+        // Collect components in first-seen order of their roots.
+        let mut comp_of_root = vec![usize::MAX; n + self.sniffers.len()];
         let mut comp_id = |uf: &mut UnionFind, entity: usize, comps: &mut Vec<Component>| {
             let root = uf.find(entity);
-            if let Some(&(_, id)) = comp_of_root.iter().find(|&&(r, _)| r == root) {
-                return id;
+            if comp_of_root[root] == usize::MAX {
+                comp_of_root[root] = comps.len();
+                comps.push(Component::default());
             }
-            let id = comps.len();
-            comp_of_root.push((root, id));
-            comps.push(Component::default());
-            id
+            comp_of_root[root]
         };
         #[derive(Default)]
         struct Component {
@@ -720,11 +860,11 @@ impl ShardSpec {
             shards.push(shard);
         }
         shards.sort_by_key(|s| std::cmp::Reverse(s.stations.len()));
-        Some(ShardPlan {
+        ShardPlan {
             shards,
             components,
             signature,
-        })
+        }
     }
 
     /// Materializes one shard as a partitioned simulator whose media are
@@ -1144,5 +1284,403 @@ mod tests {
         cm.add_client(client(Pos::new(1.0, 1.0), 0));
         cm.add_client(client(Pos::new(41.0, 1.0), 0));
         assert!(cm.partition_lockstep(4, 10).is_none(), "channel mgmt");
+    }
+
+    /// The all-pairs planner the bucketed one replaced: every same-channel
+    /// pair and every station at every sniffer goes to the oracle, and each
+    /// client scans all stations for its argmax AP.
+    fn all_pairs_signature(
+        spec: &ShardSpec,
+        geo: &impl Geometry,
+    ) -> Option<(UnionFind, CouplingSignature)> {
+        let st = &spec.stations;
+        let n = st.len();
+        for op in st {
+            if !op.is_ap()
+                && !st
+                    .iter()
+                    .any(|o| o.is_ap() && o.channel_idx() == op.channel_idx())
+            {
+                return None;
+            }
+        }
+        let mut uf = UnionFind::new(n + spec.sniffers.len());
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if st[a].channel_idx() == st[b].channel_idx() && geo.coupled(a, b) {
+                    uf.union(a, b);
+                }
+            }
+        }
+        let mut client_ap = Vec::new();
+        for c in (0..n).filter(|&c| !st[c].is_ap()) {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, op) in st.iter().enumerate() {
+                if op.is_ap() && op.channel_idx() == st[c].channel_idx() {
+                    let rssi = geo.rssi(i, c);
+                    if best.is_none_or(|(_, b)| rssi > b) {
+                        best = Some((i, rssi));
+                    }
+                }
+            }
+            client_ap.push((c, best.unwrap().0));
+            uf.union(c, best.unwrap().0);
+        }
+        for (si, cfg) in spec.sniffers.iter().enumerate() {
+            for (i, op) in st.iter().enumerate() {
+                if op.channel_idx() == cfg.channel_idx && geo.sniffer_hears(si, i) {
+                    uf.union(n + si, i);
+                }
+            }
+        }
+        let labels = (0..n + spec.sniffers.len()).map(|e| uf.find(e)).collect();
+        Some((uf, CouplingSignature { labels, client_ap }))
+    }
+
+    /// A plan's comparable parts.
+    fn parts(plan: ShardPlan) -> (Vec<Shard>, usize, CouplingSignature) {
+        (plan.shards, plan.components, plan.signature)
+    }
+
+    /// The oracle's plan: its union-find through the same packing.
+    fn oracle_plan(
+        spec: &ShardSpec,
+        geo: &impl Geometry,
+        max_shards: usize,
+        keep_together: &[(usize, usize)],
+    ) -> Option<(Vec<Shard>, usize, CouplingSignature)> {
+        all_pairs_signature(spec, geo)
+            .map(|(uf, sig)| parts(spec.pack(max_shards, keep_together, uf, sig)))
+    }
+
+    /// Radios for the oracle tests: the defaults, the campus radio, and
+    /// three whose coupling no finite range bounds (or that couple
+    /// nothing).
+    fn test_radio(kind: usize) -> RadioConfig {
+        let radio = RadioConfig::default();
+        match kind {
+            0 => radio,
+            1 => RadioConfig {
+                tx_power_dbm: 13.0,
+                pathloss_exp: 3.5,
+                cs_threshold_dbm: -92.0,
+                ..radio
+            },
+            // Flat path loss: an infinite range, every pair coupled.
+            2 => RadioConfig {
+                pathloss_exp: 0.0,
+                ..radio
+            },
+            // Path loss falling with distance: a finite "range" (10 m)
+            // inside which nothing couples and beyond which all does.
+            3 => RadioConfig {
+                tx_power_dbm: -80.0,
+                pathloss_exp: -1.0,
+                ..radio
+            },
+            // Below the floor even at 1 m: nothing couples.
+            _ => RadioConfig {
+                tx_power_dbm: -100.0,
+                ..radio
+            },
+        }
+    }
+
+    /// Origins from the centre of the plane to the edge of the grid (a
+    /// cell index near 2³² under the default radio) and far past it.
+    const ORIGINS: [(f64, f64); 6] = [
+        (0.0, 0.0),
+        (-5.0e5, 3.0e5),
+        (1.0e9, -1.0e9),
+        (-2.9e12, 2.9e12),
+        (1.0e15, 0.0),
+        (-1.0e18, 1.0e18),
+    ];
+
+    /// The range layouts are drawn at: the coupling range, or 100 m where
+    /// that is not a usable distance.
+    fn placement_range(radio: &RadioConfig) -> f64 {
+        let range = radio.range_at_dbm(radio.effective_coupling_floor_dbm());
+        if range.is_finite() && range > 1.0 {
+            range
+        } else {
+            100.0
+        }
+    }
+
+    /// splitmix64: the layout generator's random source.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A point near `placed` (or around `origin` when empty): scattered
+        /// over a few coupling ranges, or at exactly `range` from a placed
+        /// point (or a hair inside or outside it), or on top of one.
+        fn point(&mut self, origin: Pos, range: f64, placed: &[Pos]) -> Pos {
+            if placed.is_empty() || self.below(3) == 0 {
+                let (u, v) = (self.unit(), self.unit());
+                return Pos::new(
+                    origin.x + (u * 4.0 - 2.0) * range,
+                    origin.y + (v * 4.0 - 2.0) * range,
+                );
+            }
+            let from = placed[self.below(placed.len())];
+            let hair = f64::EPSILON * 4.0;
+            let d =
+                range * [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - hair, 1.0 + hair, 0.0][self.below(6)];
+            let (dx, dy) = match self.below(5) {
+                0 => (d, 0.0),
+                1 => (-d, 0.0),
+                2 => (0.0, d),
+                3 => (0.0, -d),
+                _ => {
+                    let a = self.unit() * std::f64::consts::TAU;
+                    (d * a.cos(), d * a.sin())
+                }
+            };
+            Pos::new(from.x + dx, from.y + dy)
+        }
+
+        /// [`Mix::point`] around `ORIGINS[origin]`, or around (0, 0) past
+        /// the last origin. If `wild`, one point in four has a coordinate
+        /// that is not finite.
+        fn place(&mut self, origin: usize, range: f64, placed: &[Pos], wild: bool) -> Pos {
+            let (x, y) = ORIGINS.get(origin).copied().unwrap_or_default();
+            let mut pos = self.point(Pos::new(x, y), range, placed);
+            if wild && self.below(4) == 0 {
+                pos.x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3)];
+            }
+            pos
+        }
+    }
+
+    /// A random multi-channel layout with sniffers. Unless `orphans`, the
+    /// first station on each channel is an AP, so every client has one.
+    /// `origin` indexes `ORIGINS`; one past it puts some stations, two
+    /// past it some sniffers, at a coordinate that is not finite.
+    fn layout(seed: u64, radio: RadioConfig, origin: usize, n: usize, orphans: bool) -> ShardSpec {
+        let mut rng = Mix(seed);
+        let channels = 1 + rng.below(3);
+        let range = placement_range(&radio);
+        let mut spec = ShardSpec::new(SimConfig {
+            radio,
+            ..config(vec![1, 6, 11][..channels].to_vec())
+        });
+        let mut placed = Vec::new();
+        for i in 0..n {
+            let pos = rng.place(origin, range, &placed, origin == ORIGINS.len());
+            placed.push(pos);
+            let channel = rng.below(channels);
+            if (!orphans && i < channels) || rng.below(4) == 0 {
+                spec.add_ap(pos, if orphans { channel } else { i % channels }, 4);
+            } else {
+                spec.add_client(client(pos, channel));
+            }
+        }
+        for _ in 0..rng.below(4) {
+            spec.add_sniffer(SnifferConfig {
+                pos: rng.place(origin, range, &placed, origin == ORIGINS.len() + 1),
+                channel_idx: rng.below(channels),
+                ..SnifferConfig::default()
+            });
+        }
+        spec
+    }
+
+    proptest::proptest! {
+        /// The bucketed planner against the all-pairs oracle on the
+        /// recorded positions: the same signature, components and shards.
+        fn bucketed_plan_matches_all_pairs(
+            seed in 0u64..u64::MAX,
+            radio in 0usize..5,
+            origin in 0usize..8,
+            n in 1usize..48,
+            orphans in 0usize..8,
+            max_shards in 1usize..6,
+        ) {
+            let spec = layout(seed, test_radio(radio), origin, n, orphans == 0);
+            let geo = PathLoss::new(&spec);
+            proptest::prop_assert_eq!(
+                spec.partition(max_shards).map(parts),
+                oracle_plan(&spec, &geo, max_shards, &[])
+            );
+        }
+
+        /// The topology-backed paths after random moves, with the build
+        /// cut's constraint edges kept together as a mobility driver does.
+        fn topology_plan_matches_all_pairs(
+            seed in 0u64..u64::MAX,
+            radio in 0usize..5,
+            origin in 0usize..8,
+            n in 1usize..40,
+            moves in 0usize..12,
+            max_shards in 1usize..6,
+        ) {
+            let radio = test_radio(radio);
+            let spec = layout(seed, radio, origin, n, false);
+            let mut topo = SensingTopology::default();
+            let mut placed: Vec<Pos> = spec.stations.iter().map(StationOp::pos).collect();
+            for &pos in &placed {
+                topo.add_station(pos, &radio);
+            }
+            for cfg in &spec.sniffers {
+                topo.add_sniffer(cfg.pos, &radio);
+            }
+            let keep = spec
+                .partition(max_shards)
+                .map(|plan| plan.signature.constraint_edges())
+                .unwrap_or_default();
+            let mut rng = Mix(!seed);
+            for _ in 0..moves {
+                let id = rng.below(n);
+                let wild = origin == ORIGINS.len();
+                placed[id] = rng.place(origin, placement_range(&radio), &placed, wild);
+                topo.update_station(id, placed[id], &radio);
+            }
+            let geo = Cached::covering(&spec, &topo).unwrap();
+            proptest::prop_assert_eq!(
+                spec.coupling_signature(&topo),
+                all_pairs_signature(&spec, &geo).map(|(_, sig)| sig)
+            );
+            proptest::prop_assert_eq!(
+                spec.partition_with(max_shards, &topo, &keep).map(parts),
+                oracle_plan(&spec, &geo, max_shards, &keep)
+            );
+        }
+    }
+
+    /// Rounding in the path-loss math couples pairs a few ulps past the
+    /// computed range. Such a pair, placed so that it straddles a cell
+    /// boundary, must still be found.
+    #[test]
+    fn pair_a_hair_past_the_range_couples() {
+        for kind in 0..2 {
+            let radio = test_radio(kind);
+            let floor = radio.effective_coupling_floor_dbm();
+            let coupled = |d: f64| radio.rssi_dbm(Pos::new(0.0, 0.0), Pos::new(d, 0.0)) >= floor;
+            let mut d = radio.range_at_dbm(floor);
+            let mut far = d;
+            for _ in 0..64 {
+                d = f64::from_bits(d.to_bits() + 1);
+                if coupled(d) {
+                    far = d;
+                }
+            }
+            for x in [-1e-14, -far / 2.0, far * 3.0 - 1e-12, -far * 3.0 - 1e-12] {
+                let mut spec = ShardSpec::new(SimConfig {
+                    radio,
+                    ..config(vec![1])
+                });
+                let (a, b) = (Pos::new(x, 0.0), Pos::new(x + far, 0.0));
+                spec.add_ap(a, 0, 4);
+                spec.add_ap(b, 0, 4);
+                // Moving the pair off the origin may round `far` away.
+                let want = if radio.rssi_dbm(a, b) >= floor { 1 } else { 2 };
+                let plan = spec.partition(8).expect("shardable");
+                assert_eq!(plan.components, want, "radio {kind}, x = {x}");
+            }
+            assert!(far > radio.range_at_dbm(floor), "radio {kind}");
+        }
+    }
+
+    /// Counts the planner's oracle calls.
+    struct Counting<'a> {
+        inner: PathLoss<'a>,
+        coupling: std::cell::Cell<usize>,
+        rssi: std::cell::Cell<usize>,
+    }
+
+    impl Geometry for Counting<'_> {
+        fn station_pos(&self, i: usize) -> Pos {
+            self.inner.station_pos(i)
+        }
+
+        fn sniffer_pos(&self, si: usize) -> Pos {
+            self.inner.sniffer_pos(si)
+        }
+
+        fn coupled(&self, a: usize, b: usize) -> bool {
+            self.coupling.set(self.coupling.get() + 1);
+            self.inner.coupled(a, b)
+        }
+
+        fn rssi(&self, tx: usize, rx: usize) -> f64 {
+            self.rssi.set(self.rssi.get() + 1);
+            self.inner.rssi(tx, rx)
+        }
+
+        fn sniffer_hears(&self, si: usize, st: usize) -> bool {
+            self.coupling.set(self.coupling.get() + 1);
+            self.inner.sniffer_hears(si, st)
+        }
+    }
+
+    /// Planning a 13-hall, 20,000-station campus (the venue campus's
+    /// geometry and radio) costs at most 2·N coupling-oracle calls, and
+    /// each client asks only its own channel's APs. Counted calls, not
+    /// time, so host load cannot move the bound; the all-pairs planner
+    /// made ~N²/6 coupling calls and scanned N stations per client.
+    #[test]
+    fn planner_work_is_near_linear() {
+        const HALLS: usize = 13;
+        const STATIONS: usize = 20_000;
+        let mut spec = ShardSpec::new(SimConfig {
+            radio: test_radio(1),
+            ..config(vec![1, 6, 11])
+        });
+        let hall_x = |h: usize| h as f64 * 1_000.0;
+        for h in 0..HALLS {
+            for ch in 0..3 {
+                spec.add_ap(Pos::new(hall_x(h) + 16.0 * (1 + ch) as f64, 18.0), ch, 6);
+            }
+        }
+        let mut rng = Mix(20_000);
+        for i in 0..STATIONS - 3 * HALLS {
+            let pos = Pos::new(hall_x(i % HALLS) + rng.unit() * 64.0, rng.unit() * 36.0);
+            spec.add_client(client(pos, (i / HALLS) % 3));
+        }
+        for ch in 0..3 {
+            spec.add_sniffer(SnifferConfig {
+                pos: Pos::new(32.0, 21.6),
+                channel_idx: ch,
+                ..SnifferConfig::default()
+            });
+        }
+        let geo = Counting {
+            inner: PathLoss::new(&spec),
+            coupling: Default::default(),
+            rssi: Default::default(),
+        };
+        let (_, sig) = spec.signature_impl(&geo).expect("every channel has APs");
+        let mut roots = sig.labels.clone();
+        roots.sort_unstable();
+        roots.dedup();
+        assert_eq!(roots.len(), 3 * HALLS, "one component per (hall, channel)");
+        let clients = STATIONS - 3 * HALLS;
+        assert!(
+            geo.coupling.get() <= 2 * STATIONS,
+            "{} coupling-oracle calls for {STATIONS} stations",
+            geo.coupling.get()
+        );
+        assert!(
+            geo.rssi.get() <= clients * HALLS,
+            "{} AP-RSSI calls for {clients} clients and {HALLS} APs per channel",
+            geo.rssi.get()
+        );
     }
 }

@@ -180,6 +180,12 @@ impl SensingTopology {
         self.positions[id]
     }
 
+    /// The position sniffer `sniffer` was registered at.
+    #[inline]
+    pub fn sniffer_position(&self, sniffer: usize) -> Pos {
+        self.sniffer_positions[sniffer]
+    }
+
     /// Pre-sizes the cache for `stations`/`sniffers` before a batch of
     /// `add_station`/`add_sniffer` calls: one exact allocation, no
     /// geometric overshoot. Scenario builders know their final populations,
